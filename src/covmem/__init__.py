@@ -9,6 +9,7 @@ from .samples import (
     Batch,
     ReplayMemory,
     Sample,
+    SamplePool,
     StrategyConfig,
     mixture,
     read_samples,
@@ -84,7 +85,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "ReplayMemory", "Sample", "StrategyConfig",
+    "Batch", "ReplayMemory", "Sample", "SamplePool", "StrategyConfig",
     "mixture", "validate_distribution", "validate_sample",
     "read_samples", "write_samples",
     "kl_divergence", "jsd", "jsd_pairwise", "jsd_cross", "distance_matrix",

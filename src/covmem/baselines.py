@@ -27,11 +27,10 @@ from .errors import (
     EmptyCommittee,
     EmptyInput,
     MissingScores,
-    NegativeTemperature,
     NotClassification,
 )
 from .predictors import Predictor, with_losses
-from .samples import ReplayMemory, Sample, StrategyConfig
+from .samples import ReplayMemory, Sample, SamplePool, StrategyConfig, require_finite
 
 __all__ = ["SelectionStrategy", "CoverageStrategy", "RandomStrategy", "FifoStrategy",
            "PriorityStrategy", "LarsStrategy", "QbcStrategy", "make_strategy",
@@ -51,14 +50,25 @@ class SelectionStrategy(ABC):
         """Hook the harness calls after each retraining event."""
 
 
-def _finish(memory: ReplayMemory, kept: list[Sample], cfg: StrategyConfig
+def _incoming(new_samples: list[Sample], predictor, scored: bool = False) -> SamplePool:
+    """Stack a chunk once, re-predict it (and score losses), order it by arrival."""
+    pool = SamplePool.from_samples(new_samples)
+    if predictor is None:
+        require_finite(pool.prediction, "incoming predictions")
+    else:
+        pool = bbdr(pool, predictor)
+        if scored:
+            pool = with_losses(pool, predictor)
+    return pool.sorted_by_arrival()
+
+
+def _finish(memory: ReplayMemory, kept: SamplePool, cfg: StrategyConfig
             ) -> selection.SelectionOutcome:
     """Store survivors, rebuild the batch view, report an always-retrain outcome."""
-    batches = batch_samples(kept, cfg.batch_size, cfg.k_out) if kept else []
+    batches = batch_samples(kept, cfg.batch_size, cfg.k_out) if len(kept) else []
     memory.replace_contents(batches, kept)
     memory.last_train_batches = list(batches)
-    kept_ids = np.array(sorted(s.arrival_index for s in kept), dtype=np.int64)
-    return selection.SelectionOutcome(kept_ids, [], True, 1.0)
+    return selection.SelectionOutcome(memory.pool.arrival_index.copy(), [], True, 1.0)
 
 
 class CoverageStrategy(SelectionStrategy):
@@ -85,25 +95,26 @@ class RandomStrategy(SelectionStrategy):
     """
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        store = memory.sorted_samples()
-        incoming = bbdr(new_samples, predictor) if predictor is not None else new_samples
-        for s in sorted(incoming, key=lambda x: x.arrival_index):
-            if len(store) < cfg.capacity:
-                store.append(s)
-                continue
-            slot = int(rng.integers(0, s.arrival_index + 1))
-            if slot < cfg.capacity:
-                store[slot] = s
-        return _finish(memory, store, cfg)
+        resident = len(memory.pool)
+        pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
+        store = list(range(min(len(pool), cfg.capacity)))  # positions into ``pool``
+        # Every arrival past a full memory draws one slot.  One draw with an
+        # array of bounds yields the same numbers as one draw per arrival.
+        late = np.arange(max(resident, cfg.capacity), len(pool))
+        slots = rng.integers(0, pool.arrival_index[late] + 1)
+        hit = slots < cfg.capacity
+        for j, slot in zip(late[hit].tolist(), slots[hit].tolist()):
+            store[slot] = j
+        return _finish(memory, pool.take(sorted(store)), cfg)
 
 
 class FifoStrategy(SelectionStrategy):
     """Keep the ``capacity`` most recent samples, nothing else."""
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        incoming = bbdr(new_samples, predictor) if predictor is not None else new_samples
-        pool = memory.sorted_samples() + sorted(incoming, key=lambda s: s.arrival_index)
-        return _finish(memory, pool[-cfg.capacity:], cfg)
+        pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
+        return _finish(memory, pool.take(np.arange(max(0, len(pool) - cfg.capacity), len(pool))),
+                       cfg)
 
 
 # scalar-priority strategies ----------------------------------------------
@@ -129,57 +140,47 @@ class PriorityStrategy(SelectionStrategy):
             raise ValueError(f"unknown priority score {score!r}, expected one of {_PRIORITY_KINDS}")
         self.score = score
 
-    def _signed_scores(self, pool: list[Sample]) -> np.ndarray:
+    def _signed_scores(self, pool: SamplePool) -> np.ndarray:
         if self.score == "loss":
-            if any(s.loss is None for s in pool):
+            if np.isnan(pool.loss).any():
                 raise MissingScores("loss-priority needs every sample scored; "
                                     "run a predictor pass first")
-            return -np.array([s.loss for s in pool])
+            return -pool.loss
         if self.score == "confidence":
-            return np.array([s.prediction.max() for s in pool])
+            return pool.prediction.max(axis=1)
         if self.score == "stalled":
-            return np.array([0.0 if s.stalled else 1.0 for s in pool])
+            return np.where(pool.stalled, 0.0, 1.0)
         raise AssertionError(self.score)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        incoming = new_samples
-        if predictor is not None:
-            incoming = bbdr(new_samples, predictor)
-            if self.score == "loss":
-                incoming = with_losses(incoming, predictor)
-        pool = memory.sorted_samples() + sorted(incoming, key=lambda s: s.arrival_index)
+        incoming = _incoming(new_samples, predictor, scored=self.score == "loss")
+        pool = SamplePool.concat([memory.pool, incoming])
         excess = len(pool) - cfg.capacity
         if excess <= 0:
             return _finish(memory, pool, cfg)
 
         alive = np.ones(len(pool), dtype=bool)
         if self.score == "label_count":
-            labels = np.array([s.output_bin for s in pool])
+            labels = pool.output_bin
             counts = np.bincount(labels, minlength=cfg.k_out)
             for _ in range(excess):
                 signed = counts[labels[alive]].astype(float)
-                j = _draw_discard(signed, cfg.temperature, rng)
-                victim = np.flatnonzero(alive)[j]
+                victim = np.flatnonzero(alive)[_discard_index(signed, cfg.temperature, rng)]
                 counts[labels[victim]] -= 1
                 alive[victim] = False
         else:
             signed = self._signed_scores(pool)
             for _ in range(excess):
-                j = _draw_discard(signed[alive], cfg.temperature, rng)
+                j = _discard_index(signed[alive], cfg.temperature, rng)
                 alive[np.flatnonzero(alive)[j]] = False
-        return _finish(memory, [s for s, a in zip(pool, alive) if a], cfg)
+        return _finish(memory, pool.take(np.flatnonzero(alive)), cfg)
 
 
-def _draw_discard(signed: np.ndarray, temperature: float, rng) -> int:
-    """Softmax draw over signed scores; T=0 is argmax with low-index ties."""
-    if temperature < 0:
-        raise NegativeTemperature(f"temperature must be nonnegative, got {temperature}")
+def _discard_index(signed: np.ndarray, temperature: float, rng) -> int:
+    """Softmax draw over signed scores; T=0 is argmax with low-index ties and no draw."""
     if temperature == 0.0:
         return int(signed.argmax())
-    logits = (signed - signed.max()) / temperature
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    return selection.draw_index(probs, rng)
+    return selection.draw_index(selection.discard_probabilities(signed, temperature), rng)
 
 
 class LarsStrategy(SelectionStrategy):
@@ -200,32 +201,37 @@ class LarsStrategy(SelectionStrategy):
             raise NotClassification(
                 f"loss-aware reservoir needs class labels, got task {self.task!r}"
             )
-        incoming = new_samples
-        if predictor is not None:
-            incoming = with_losses(bbdr(new_samples, predictor), predictor)
-        if any(s.loss is None for s in incoming):
+        incoming = _incoming(new_samples, predictor, scored=True)
+        if np.isnan(incoming.loss).any():
             raise MissingScores("eviction ranks by loss; samples arrived unscored "
                                 "and no predictor was given")
-        store = memory.sorted_samples()
+        resident = len(memory.pool)
+        pool = SamplePool.concat([memory.pool, incoming])
+        bins, losses, arrivals = pool.output_bin, pool.loss, pool.arrival_index
         capacity = cfg.capacity
-        for s in sorted(incoming, key=lambda x: x.arrival_index):
-            n = s.arrival_index + 1
-            admit_p = min(1.0, capacity / n) * 0.5 ** (max(0, n - capacity) / capacity)
-            if len(store) >= capacity and rng.random() >= admit_p:
+        store = list(range(resident))  # positions into ``pool``
+        for j, arrival in enumerate(arrivals[resident:].tolist(), start=resident):
+            if len(store) < capacity:
+                store.append(j)
                 continue
-            if len(store) >= capacity:
-                store[self._victim(store, cfg.k_out)] = s
-            else:
-                store.append(s)
-        return _finish(memory, store, cfg)
+            n = arrival + 1
+            admit_p = min(1.0, capacity / n) * 0.5 ** (max(0, n - capacity) / capacity)
+            if rng.random() >= admit_p:
+                continue
+            held = np.array(store)
+            store[self._victim(bins[held], losses[held], arrivals[held], cfg.k_out)] = j
+        return _finish(memory, pool.take(sorted(store)), cfg)
 
     @staticmethod
-    def _victim(store: list[Sample], k_out: int) -> int:
-        counts = np.bincount([s.output_bin for s in store], minlength=k_out)
-        label = int(counts.argmax())
-        candidates = [(s.loss, s.arrival_index, i)
-                      for i, s in enumerate(store) if s.output_bin == label]
-        return min(candidates)[2]
+    def _victim(bins: np.ndarray, losses: np.ndarray, arrivals: np.ndarray, k_out: int) -> int:
+        """Store position of the lowest-loss member of the most frequent label.
+
+        Ties on loss go to the earliest arrival, then to the lowest position.
+        """
+        label = int(np.bincount(bins, minlength=k_out).argmax())
+        candidates = np.flatnonzero(bins == label)
+        order = np.lexsort((candidates, arrivals[candidates], losses[candidates]))
+        return int(candidates[order[0]])
 
 
 class QbcStrategy(SelectionStrategy):
@@ -271,17 +277,14 @@ class QbcStrategy(SelectionStrategy):
         return np.mean([_entropy_bits(p) for p in member_preds], axis=0)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        incoming = bbdr(new_samples, predictor) if predictor is not None else new_samples
-        pool = memory.sorted_samples() + sorted(incoming, key=lambda s: s.arrival_index)
-        if not pool:
+        pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
+        if not len(pool):
             raise EmptyInput("nothing to select from")
         if len(pool) <= cfg.capacity:
             return _finish(memory, pool, cfg)
-        entropies = self._entropies(np.stack([s.features for s in pool]))
-        arrival = np.array([s.arrival_index for s in pool])
-        order = np.lexsort((arrival, -entropies))
-        keep = np.sort(order[:cfg.capacity])
-        return _finish(memory, [pool[i] for i in keep], cfg)
+        entropies = self._entropies(pool.features)
+        order = np.lexsort((pool.arrival_index, -entropies))
+        return _finish(memory, pool.take(np.sort(order[:cfg.capacity])), cfg)
 
 
 def _entropy_bits(rows: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ group simply stays undersized.
 import numpy as np
 
 from .errors import EmptyInput
-from .samples import Batch, Sample
+from .samples import Batch, SamplePool, require_finite
 
 __all__ = ["mode_and_confidence", "bbdr", "batch_samples"]
 
@@ -28,29 +28,33 @@ def mode_and_confidence(prediction) -> tuple[int, float]:
     return mode, float(prediction[mode])
 
 
-def bbdr(samples: list[Sample], predictor) -> list[Sample]:
+def bbdr(pool: SamplePool, predictor) -> SamplePool:
     """Black-box dimensionality reduction: re-predict incoming samples.
 
-    Every sample's ``prediction`` field is overwritten with the current
+    The pool's ``prediction`` column is replaced by the current
     predictor's output on its features, collapsing the raw feature space
     to the model's view of it.  Samples already resident in memory keep
     the predictions they were admitted with; only pass new arrivals
     through here.
 
-    Returns new :class:`Sample` objects; inputs are not mutated.
+    Returns a new pool that shares every other column; the input is not
+    mutated.  Raises :class:`~covmem.errors.NonFiniteValue` if the
+    predictor produces a NaN or an infinity.
     """
-    if not samples:
-        return []
-    predictions = predictor.predict_many(np.stack([s.features for s in samples]))
-    return [s.with_prediction(p) for s, p in zip(samples, predictions)]
+    if not len(pool):
+        return pool
+    predictions = predictor.predict_many(pool.features)
+    require_finite(predictions, "predictor output")
+    return pool.with_columns(prediction=predictions)
 
 
-def batch_samples(samples: list[Sample], batch_size: int, k_out: int) -> list[Batch]:
+def batch_samples(samples, batch_size: int, k_out: int) -> list[Batch]:
     """Group a sample pool into homogeneous batches of size ``batch_size``.
 
     Parameters
     ----------
-    samples : list of Sample
+    samples : SamplePool or sequence of Sample
+        A sequence of rows is stacked into a pool first.
     batch_size : int
         Target members per batch.  The final chunk of each output group
         may be smaller; chunks are never merged across output bins.
@@ -64,17 +68,16 @@ def batch_samples(samples: list[Sample], batch_size: int, k_out: int) -> list[Ba
         predictions, the histogram of their output bins (a point mass,
         given the grouping), and the mean feature vector.
     """
-    if not samples:
+    pool = samples if isinstance(samples, SamplePool) else SamplePool.from_samples(samples)
+    n = len(pool)
+    if not n:
         raise EmptyInput("cannot batch an empty pool")
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
 
-    out_bins = np.array([s.output_bin for s in samples], dtype=np.int64)
-    arrival = np.array([s.arrival_index for s in samples], dtype=np.int64)
-    predictions = np.stack([s.prediction for s in samples])
-    features = np.stack([s.features for s in samples])
+    out_bins, arrival, predictions = pool.output_bin, pool.arrival_index, pool.prediction
     modes = predictions.argmax(axis=1)
-    mode_probs = predictions[np.arange(len(samples)), modes]
+    mode_probs = predictions[np.arange(n), modes]
 
     # last lexsort key is the primary one
     order = np.lexsort((arrival, mode_probs, modes, out_bins))
@@ -82,27 +85,18 @@ def batch_samples(samples: list[Sample], batch_size: int, k_out: int) -> list[Ba
 
     # chunk starts: every batch_size positions within each output run
     run_starts = np.flatnonzero(np.diff(out_sorted)) + 1
-    run_bounds = np.concatenate(([0], run_starts, [len(samples)]))
+    run_bounds = np.concatenate(([0], run_starts, [n]))
     starts = np.concatenate(
         [np.arange(a, b, batch_size) for a, b in zip(run_bounds[:-1], run_bounds[1:])]
     )
-    stops = np.concatenate((starts[1:], [len(samples)]))
+    sizes = np.diff(np.append(starts, n)).astype(float)[:, None]
 
-    pred_sums = np.add.reduceat(predictions[order], starts, axis=0)
-    feat_sums = np.add.reduceat(features[order], starts, axis=0)
-    sizes = (stops - starts).astype(float)
-
-    batches = []
-    arrival_sorted = arrival[order]
-    for i, (a, b) in enumerate(zip(starts, stops)):
-        out_dist = np.zeros(k_out)
-        out_dist[out_sorted[a]] = 1.0
-        batches.append(
-            Batch(
-                sample_ids=arrival_sorted[a:b].copy(),
-                pred_dist=pred_sums[i] / sizes[i],
-                out_dist=out_dist,
-                mean_features=feat_sums[i] / sizes[i],
-            )
-        )
-    return batches
+    pred_dists = np.add.reduceat(predictions[order], starts, axis=0) / sizes
+    mean_features = np.add.reduceat(pool.features[order], starts, axis=0) / sizes
+    out_dists = np.zeros((starts.size, k_out))
+    out_dists[np.arange(starts.size), out_sorted[starts]] = 1.0
+    member_ids = np.split(arrival[order], starts[1:])
+    return [
+        Batch(sample_ids=ids, pred_dist=pred, out_dist=out, mean_features=feat)
+        for ids, pred, out, feat in zip(member_ids, pred_dists, out_dists, mean_features)
+    ]

@@ -26,6 +26,10 @@ class NegativeProbability(CovmemError, ValueError):
     """A probability vector contains a negative entry."""
 
 
+class NonFiniteValue(CovmemError, ValueError):
+    """An array that must be finite holds a NaN or an infinity."""
+
+
 class BinOutOfRange(CovmemError, ValueError):
     """An output bin index falls outside ``[0, k_out)``."""
 

@@ -11,6 +11,7 @@ timing is real measurement and cannot be deterministic, so it lives in
 its own file rather than poisoning the reproducibility of the report.
 """
 import csv
+import re
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -115,8 +116,11 @@ class IterationReport:
 
 # Config files -------------------------------------------------------------
 #
-# Flat "key = value" lines; '#' starts a comment.  Keys mirror the
-# RunConfig fields one to one.
+# Flat "key = value" lines; '#' starts a comment at the start of a line
+# or after whitespace, so a value such as a path may contain '#'.  Keys
+# mirror the RunConfig fields one to one.
+
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 _BOOL_KEYS = {"stationary", "snapshots"}
 _INT_KEYS = {"capacity", "batch_size", "iterations", "samples_per_iteration",
@@ -153,7 +157,7 @@ def parse_config(path) -> RunConfig:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import EmptyTrainingSet, PredictorDimensionMismatch
-from .samples import Sample
+from .samples import Sample, SamplePool
 
 __all__ = [
     "Predictor",
@@ -290,12 +290,14 @@ class OraclePredictor(Predictor):
         return out
 
 
-def with_losses(samples: list[Sample], predictor: Predictor) -> list[Sample]:
-    """Score every sample's loss under ``predictor`` in one pass."""
-    if not samples:
-        return []
-    predictions = predictor.predict_many(np.stack([s.features for s in samples]))
-    bins = np.array([s.output_bin for s in samples])
-    picked = predictions[np.arange(len(samples)), bins]
-    losses = -np.log2(np.maximum(picked, LOGSCORE_FLOOR))
-    return [s.with_loss(float(l)) for s, l in zip(samples, losses)]
+def with_losses(pool: SamplePool, predictor: Predictor) -> SamplePool:
+    """Fill the ``loss`` column with each sample's loss under ``predictor``.
+
+    One ``predict_many`` pass; returns a new pool sharing the other
+    columns.
+    """
+    if not len(pool):
+        return pool
+    predictions = predictor.predict_many(pool.features)
+    picked = predictions[np.arange(len(pool)), pool.output_bin]
+    return pool.with_columns(loss=-np.log2(np.maximum(picked, LOGSCORE_FLOOR)))

@@ -1,28 +1,36 @@
-"""Core data model: samples, batches, the replay memory, and record I/O.
+"""Core data model: samples, sample pools, batches, the replay memory, and record I/O.
 
+A :class:`SamplePool` is the working representation: one array per
+field, one row per sample.  :class:`Sample` is the row type at the API
+edge, for streams handed to ``select`` and for NDJSON records.
 Categorical distributions are plain 1-D ``numpy`` arrays that sum to one.
 No wrapper class is used; :func:`validate_distribution` checks the
 contract where one is needed.
 """
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import (
     BinOutOfRange,
+    CovmemError,
     EmptyInput,
     LengthMismatch,
     NegativeProbability,
+    NonFiniteValue,
     NonNormalizedPrediction,
 )
 
 __all__ = [
     "Sample",
+    "SamplePool",
     "Batch",
     "ReplayMemory",
     "StrategyConfig",
     "mixture",
+    "require_finite",
     "validate_distribution",
     "validate_sample",
     "read_samples",
@@ -72,11 +80,119 @@ class Sample:
     workload: int = -1
     noise: bool = False
 
-    def with_prediction(self, prediction: np.ndarray) -> "Sample":
-        return replace(self, prediction=prediction)
 
-    def with_loss(self, loss: float) -> "Sample":
-        return replace(self, loss=loss)
+@dataclass(frozen=True, eq=False)
+class SamplePool:
+    """A set of samples stored column-wise: one array per :class:`Sample` field.
+
+    Row ``i`` of every column belongs to the same sample.  ``features``
+    is ``(n, n_features)`` and ``prediction`` is ``(n, k_pred)``; the other
+    columns are 1-D.  An unscored sample has ``loss`` NaN.  Operations
+    return new pools and never write into a column, so pools that share
+    a column stay independent.
+    """
+
+    features: np.ndarray
+    prediction: np.ndarray
+    output_bin: np.ndarray
+    arrival_index: np.ndarray
+    raw_output: np.ndarray
+    loss: np.ndarray
+    stalled: np.ndarray
+    workload: np.ndarray
+    noise: np.ndarray
+
+    def __post_init__(self):
+        n = len(self)
+        for f in fields(self):
+            if getattr(self, f.name).shape[0] != n:
+                raise LengthMismatch(
+                    f"column {f.name} has {getattr(self, f.name).shape[0]} rows, "
+                    f"arrival_index has {n}"
+                )
+
+    def __len__(self) -> int:
+        return self.arrival_index.shape[0]
+
+    @classmethod
+    def empty(cls) -> "SamplePool":
+        return cls(
+            features=np.empty((0, 0)),
+            prediction=np.empty((0, 0)),
+            output_bin=np.empty(0, dtype=np.int64),
+            arrival_index=np.empty(0, dtype=np.int64),
+            raw_output=np.empty(0),
+            loss=np.empty(0),
+            stalled=np.empty(0, dtype=bool),
+            workload=np.empty(0, dtype=np.int64),
+            noise=np.empty(0, dtype=bool),
+        )
+
+    @classmethod
+    def from_samples(cls, samples) -> "SamplePool":
+        """Stack a sequence of :class:`Sample` rows into columns, in order."""
+        if not samples:
+            return cls.empty()
+        # np.array stacks rows faster than np.stack and still rejects rows
+        # of unequal length.  A float array stores a None loss as NaN.
+        return cls(
+            features=np.array([s.features for s in samples]),
+            prediction=np.array([s.prediction for s in samples]),
+            output_bin=np.array([s.output_bin for s in samples], dtype=np.int64),
+            arrival_index=np.array([s.arrival_index for s in samples], dtype=np.int64),
+            raw_output=np.array([s.raw_output for s in samples], dtype=float),
+            loss=np.array([s.loss for s in samples], dtype=float),
+            stalled=np.array([s.stalled for s in samples], dtype=bool),
+            workload=np.array([s.workload for s in samples], dtype=np.int64),
+            noise=np.array([s.noise for s in samples], dtype=bool),
+        )
+
+    @classmethod
+    def concat(cls, pools) -> "SamplePool":
+        """Rows of every pool in turn; empty pools are skipped."""
+        pools = [p for p in pools if len(p)]
+        if not pools:
+            return cls.empty()
+        if len(pools) == 1:
+            return pools[0]
+        return cls(**{f.name: np.concatenate([getattr(p, f.name) for p in pools])
+                      for f in fields(cls)})
+
+    def take(self, idx) -> "SamplePool":
+        """Rows at positions ``idx``, in that order."""
+        return SamplePool(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
+
+    def with_columns(self, **columns) -> "SamplePool":
+        """A pool sharing every column except the ones given."""
+        return SamplePool(**{f.name: columns.get(f.name, getattr(self, f.name))
+                             for f in fields(self)})
+
+    def sorted_by_arrival(self) -> "SamplePool":
+        """Rows in arrival order; the pool itself when already sorted."""
+        arrival = self.arrival_index
+        if np.all(arrival[1:] > arrival[:-1]):
+            return self
+        return self.take(np.argsort(arrival, kind="stable"))
+
+    def rows(self) -> list[Sample]:
+        """Materialise every row as a :class:`Sample`, in pool order.
+
+        ``features`` and ``prediction`` of each row are views into the
+        pool's columns.
+        """
+        losses = [None if math.isnan(loss) else loss for loss in self.loss.tolist()]
+        return list(map(
+            Sample,
+            self.features,
+            self.output_bin.tolist(),
+            self.prediction,
+            self.arrival_index.tolist(),
+            self.raw_output.tolist(),
+            losses,
+            self.stalled.tolist(),
+            self.workload.tolist(),
+            self.noise.tolist(),
+        ))
 
 
 @dataclass(eq=False)
@@ -105,16 +221,17 @@ class Batch:
 class ReplayMemory:
     """Bounded sample store a selection strategy maintains.
 
-    ``batches`` is the batch view produced by the most recent selection
-    pass; per-sample strategies rebuild it for bookkeeping.  The batches
-    recorded at the last retraining event keep their distributions even
-    after later discards drop some of their members, which is exactly
-    what the coverage comparison needs.
+    ``pool`` holds the members in arrival order.  ``batches`` is the
+    batch view produced by the most recent selection pass; per-sample
+    strategies rebuild it for bookkeeping.  The batches recorded at the
+    last retraining event keep their distributions even after later
+    discards drop some of their members, which is exactly what the
+    coverage comparison needs.
     """
 
     capacity: int
     batches: list[Batch] = field(default_factory=list)
-    samples: dict[int, Sample] = field(default_factory=dict)
+    pool: SamplePool = field(default_factory=SamplePool.empty)
     last_train_batches: list[Batch] = field(default_factory=list)
 
     def __post_init__(self):
@@ -123,35 +240,36 @@ class ReplayMemory:
 
     @property
     def sample_count(self) -> int:
-        return len(self.samples)
+        return len(self.pool)
 
     def sorted_samples(self) -> list[Sample]:
-        """Members in arrival order, the canonical pool ordering."""
-        return sorted(self.samples.values(), key=lambda s: s.arrival_index)
+        """Members in arrival order, the canonical pool ordering.
 
-    def replace_contents(self, batches: list[Batch], samples: list[Sample]) -> None:
-        if sum(b.size for b in batches) != len(samples):
+        Rows are built on each call and carry the predictions the
+        samples were admitted with.
+        """
+        return self.pool.rows()
+
+    def replace_contents(self, batches: list[Batch], pool: SamplePool) -> None:
+        """Hold ``pool``, reordered by arrival, with ``batches`` as its batch view."""
+        if sum(b.size for b in batches) != len(pool):
             raise LengthMismatch(
                 f"batches cover {sum(b.size for b in batches)} samples, "
-                f"store would hold {len(samples)}"
+                f"store would hold {len(pool)}"
             )
         self.batches = batches
-        self.samples = {s.arrival_index: s for s in samples}
+        self.pool = pool.sorted_by_arrival()
 
     def class_counts(self, n_classes: int, by: str = "workload") -> np.ndarray:
         """Histogram of members over ``workload`` tags or ``output_bin``."""
-        counts = np.zeros(n_classes, dtype=np.int64)
-        for s in self.samples.values():
-            label = s.workload if by == "workload" else s.output_bin
-            if 0 <= label < n_classes:
-                counts[label] += 1
-        return counts
+        labels = self.pool.workload if by == "workload" else self.pool.output_bin
+        labels = labels[(labels >= 0) & (labels < n_classes)]
+        return np.bincount(labels, minlength=n_classes).astype(np.int64)
 
     def noise_fraction(self) -> float:
-        if not self.samples:
+        if not len(self.pool):
             return 0.0
-        flagged = sum(1 for s in self.samples.values() if s.noise)
-        return flagged / len(self.samples)
+        return int(self.pool.noise.sum()) / len(self.pool)
 
 
 @dataclass(frozen=True)
@@ -197,6 +315,13 @@ class StrategyConfig:
 # Distribution helpers ----------------------------------------------------
 
 
+def require_finite(values: np.ndarray, what: str) -> np.ndarray:
+    """Raise :class:`NonFiniteValue` if ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
+        raise NonFiniteValue(f"{what} holds NaN or infinite entries")
+    return values
+
+
 def validate_distribution(probs: np.ndarray, size: int | None = None) -> np.ndarray:
     """Check that ``probs`` is a categorical distribution.
 
@@ -217,6 +342,7 @@ def validate_distribution(probs: np.ndarray, size: int | None = None) -> np.ndar
         raise EmptyInput(f"expected a nonempty 1-D probability vector, got shape {probs.shape}")
     if size is not None and probs.size != size:
         raise LengthMismatch(f"expected {size} bins, got {probs.size}")
+    require_finite(probs, "probability vector")
     if np.any(probs < 0):
         raise NegativeProbability(f"negative probability entries: min is {probs.min()}")
     total = probs.sum()
@@ -225,10 +351,14 @@ def validate_distribution(probs: np.ndarray, size: int | None = None) -> np.ndar
     return probs
 
 
-def validate_sample(sample: Sample, k_pred: int, k_out: int) -> Sample:
-    """Raise if ``sample`` violates the data-model contract, else return it."""
+def validate_sample(sample: Sample, k_pred: int | None, k_out: int | None) -> Sample:
+    """Raise if ``sample`` violates the data-model contract, else return it.
+
+    A ``None`` bin count leaves that size or range unchecked; the
+    prediction must be a finite distribution either way.
+    """
     validate_distribution(sample.prediction, k_pred)
-    if not 0 <= sample.output_bin < k_out:
+    if k_out is not None and not 0 <= sample.output_bin < k_out:
         raise BinOutOfRange(
             f"output_bin {sample.output_bin} outside [0, {k_out}) "
             f"for sample {sample.arrival_index}"
@@ -294,8 +424,9 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> l
 
     Arrival indices are assigned from line order.  Unknown fields are
     ignored; a missing mandatory field raises ``ValueError`` naming the
-    offending line.  When ``k_pred``/``k_out`` are given each record is
-    validated on the way in.
+    offending line.  Every record is validated on the way in: its
+    prediction must be a finite distribution, of ``k_pred`` bins and
+    with ``output_bin`` in ``[0, k_out)`` when those are given.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -318,7 +449,9 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> l
                 )
             except (KeyError, json.JSONDecodeError, TypeError) as err:
                 raise ValueError(f"bad sample record on line {lineno + 1}: {err}") from err
-            if k_pred is not None and k_out is not None:
+            try:
                 validate_sample(sample, k_pred, k_out)
+            except CovmemError as err:
+                raise type(err)(f"bad sample record on line {lineno + 1}: {err}") from err
             out.append(sample)
     return out

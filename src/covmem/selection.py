@@ -22,7 +22,7 @@ from .errors import (
     EmptyInput,
     NegativeTemperature,
 )
-from .samples import Batch, ReplayMemory, Sample, StrategyConfig
+from .samples import Batch, ReplayMemory, Sample, SamplePool, StrategyConfig, require_finite
 
 __all__ = [
     "DiscardEvent",
@@ -174,13 +174,14 @@ def select(
         Mutated in place: afterwards it holds the surviving samples,
         their batch view, and (on retraining) the new reference batches.
     new_samples : list of Sample
-        Fresh arrivals.  Their predictions are overwritten by
-        ``predictor`` on the way in; in-memory samples keep the
-        predictions they arrived with.
+        Fresh arrivals, stacked into a :class:`SamplePool` once.  Their
+        predictions are overwritten by ``predictor`` on the way in;
+        in-memory samples keep the predictions they arrived with.
     cfg : StrategyConfig
     predictor : Predictor or None
         Black box for ingestion.  ``None`` keeps incoming predictions,
-        which is only sensible for pre-scored pools.
+        which is only sensible for pre-scored pools; they must then be
+        finite.
     rng : numpy.random.Generator
         Drives the discard draws.
     pred_metric : {"jsd", "euclidean"}
@@ -193,11 +194,14 @@ def select(
     SelectionOutcome
         Kept sample ids, the discard trace, and the retrain decision.
     """
-    incoming = bbdr(new_samples, predictor) if predictor is not None else list(new_samples)
-    pool = memory.sorted_samples() + incoming
-    if not pool:
+    incoming = SamplePool.from_samples(new_samples)
+    if predictor is not None:
+        incoming = bbdr(incoming, predictor)
+    else:
+        require_finite(incoming.prediction, "incoming predictions")
+    pool = SamplePool.concat([memory.pool, incoming]).sorted_by_arrival()
+    if not len(pool):
         raise EmptyInput("nothing to select from: memory and new samples are both empty")
-    by_id = {s.arrival_index: s for s in pool}
 
     batches = batch_samples(pool, cfg.batch_size, cfg.k_out)
     total = len(pool)
@@ -241,9 +245,8 @@ def select(
         alive, memory.last_train_batches, cfg.threshold, cfg.bandwidth, pred_metric
     )
 
-    kept = [by_id[i] for batch in alive for i in batch.sample_ids]
-    memory.replace_contents(alive, kept)
+    kept_ids = np.sort(np.concatenate([batch.sample_ids for batch in alive]))
+    memory.replace_contents(alive, pool.take(np.searchsorted(pool.arrival_index, kept_ids)))
     if retrain:
         memory.last_train_batches = list(alive)
-    kept_ids = np.array(sorted(s.arrival_index for s in kept), dtype=np.int64)
     return SelectionOutcome(kept_ids, trace, retrain, rci_value)

@@ -1,22 +1,29 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from covmem import (
     CentroidPredictor,
     LarsStrategy,
+    LikelihoodPredictor,
     PriorityStrategy,
     QbcStrategy,
     RandomStrategy,
     ReplayMemory,
     Sample,
+    SamplePool,
     StrategyConfig,
     UniformPredictor,
+    generate,
     make_strategy,
+    rare_patterns,
 )
 from covmem.baselines import STRATEGY_KINDS
 from covmem.errors import (
     EmptyCommittee,
     MissingScores,
+    NonFiniteValue,
     NotClassification,
 )
 
@@ -126,7 +133,7 @@ class TestPriority:
         pool = [sample(0, loss=None)]
         cfg = StrategyConfig(capacity=1, batch_size=1, k_pred=3, k_out=3)
         memory = ReplayMemory(capacity=1)
-        memory.samples = {9: sample(9, loss=None)}
+        memory.pool = SamplePool.from_samples([sample(9, loss=None)])
         with pytest.raises(MissingScores):
             PriorityStrategy("loss").select(memory, pool, cfg, None, np.random.default_rng(0))
 
@@ -182,20 +189,25 @@ class TestLars:
         with pytest.raises(MissingScores):
             run(LarsStrategy(), [sample(0)], cfg)
 
+    @staticmethod
+    def victim(store):
+        pool = SamplePool.from_samples(store)
+        return LarsStrategy._victim(pool.output_bin, pool.loss, pool.arrival_index, 3)
+
     def test_victim_is_lowest_loss_of_most_frequent_label(self):
         store = [
             sample(0, output_bin=0, loss=3.0),
             sample(1, output_bin=0, loss=1.0),
             sample(2, output_bin=1, loss=0.5),
         ]
-        assert LarsStrategy._victim(store, 3) == 1
+        assert self.victim(store) == 1
 
     def test_victim_tie_breaks_on_arrival(self):
         store = [
             sample(5, output_bin=0, loss=1.0),
             sample(2, output_bin=0, loss=1.0),
         ]
-        assert LarsStrategy._victim(store, 3) == 1
+        assert self.victim(store) == 1
 
     def test_admission_decays_for_late_arrivals(self):
         # with the halving term, arrivals far past capacity almost never
@@ -291,3 +303,51 @@ class TestFactory:
         assert memory.last_train_batches
         kept = {s.arrival_index for s in memory.sorted_samples()}
         assert kept == set(outcome.kept_ids.tolist())
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_every_kind_rejects_non_finite_predictions(self, kind):
+        cfg = StrategyConfig(capacity=4, batch_size=2, k_pred=3, k_out=3)
+        pool = [sample(i, loss=1.0) for i in range(6)]
+        pool[2] = Sample(features=np.zeros(2), output_bin=0, arrival_index=2, loss=1.0,
+                         prediction=np.array([np.nan, 0.5, 0.5]))
+        strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
+        with pytest.raises(NonFiniteValue):
+            run(strategy, pool, cfg)
+
+
+# sha256 over the kept_ids of every select call in kept_id_digest(), one
+# per strategy, recorded with the per-sample store that the columnar pool
+# replaced.  A moved RNG draw or a reordered tie changes them.
+GOLDEN_KEPT_IDS = {
+    "memento": "b2810825b1cca3e0e9e5ab063afa1a95a41f38f6c0f6166d78a46f864fe31a62",
+    "random": "c4e934d3ac7017b331937365fdd1a45daed7ef7fb03a95d49c89a7cf8d6a182a",
+    "fifo": "c9b312fd0c95454cb847ebbed97da4d9684f58a350bd2a5a6a88d8860c513a52",
+    "priority_loss": "213cdffe7c02fe75b8fec1f3356423fc6f07c0246d037655c4fdfe1ea4c85d2e",
+    "lars": "ff9ff2f025b1da77c7d90bfa7240d15c38ea2d05c4edaa02d10fe18a8e46e108",
+    "qbc": "a86000f01a36fe98621dec388e46a5bc67f92038f107da4abaf1f7905c430306",
+}
+
+
+def kept_id_digest(kind, seed=0):
+    """Feed a 4 x 2,000 rare_patterns stream through one strategy, retraining on request."""
+    spec = rare_patterns(iterations=4, samples_per_iteration=2_000, feature_dim=8)
+    cfg = StrategyConfig(capacity=1_000, batch_size=32, k_pred=3, k_out=3)
+    chunks = list(generate(spec, seed))
+    strategy = make_strategy(kind, base_predictor=CentroidPredictor(3), committee_size=3)
+    memory = ReplayMemory(capacity=cfg.capacity)
+    predictor = LikelihoodPredictor(3).fit(chunks[0][:200])
+    rng = np.random.default_rng([seed, 4])
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        outcome = strategy.select(memory, chunk, cfg, predictor, rng)
+        digest.update(outcome.kept_ids.tobytes())
+        if outcome.retrain:
+            train = memory.sorted_samples()
+            predictor = predictor.fit(train)
+            strategy.on_retrain(train, rng)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_KEPT_IDS))
+def test_kept_ids_match_golden_digest(kind):
+    assert kept_id_digest(kind) == GOLDEN_KEPT_IDS[kind]

@@ -3,13 +3,14 @@ import pytest
 
 from covmem import (
     Sample,
+    SamplePool,
     UniformPredictor,
     batch_samples,
     bbdr,
     mixture,
     mode_and_confidence,
 )
-from covmem.errors import EmptyInput
+from covmem.errors import EmptyInput, NonFiniteValue
 
 
 def sample(i, output_bin, prediction, features=None):
@@ -36,15 +37,27 @@ class TestModeAndConfidence:
 
 class TestBbdr:
     def test_overwrites_predictions_without_mutating(self):
-        s = sample(0, 0, [1.0, 0.0], features=[2.0])
-        (replaced,) = bbdr([s], UniformPredictor(2))
+        pool = SamplePool.from_samples([sample(0, 0, [1.0, 0.0], features=[2.0])])
+        replaced = bbdr(pool, UniformPredictor(2))
         np.testing.assert_allclose(replaced.prediction, 0.5)
-        np.testing.assert_allclose(s.prediction, [1.0, 0.0])
-        assert replaced.arrival_index == s.arrival_index
-        assert replaced is not s
+        np.testing.assert_allclose(pool.prediction, [[1.0, 0.0]])
+        np.testing.assert_array_equal(replaced.arrival_index, pool.arrival_index)
+        assert replaced is not pool
 
     def test_empty_is_fine(self):
-        assert bbdr([], UniformPredictor(2)) == []
+        assert len(bbdr(SamplePool.from_samples([]), UniformPredictor(2))) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predictor_output_is_rejected(self, bad):
+        class Broken(UniformPredictor):
+            def predict_many(self, features):
+                out = super().predict_many(features)
+                out[-1, 0] = bad
+                return out
+
+        pool = SamplePool.from_samples([sample(i, 0, [0.5, 0.5]) for i in range(3)])
+        with pytest.raises(NonFiniteValue):
+            bbdr(pool, Broken(2))
 
 
 class TestBatchSamples:

@@ -117,6 +117,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="capacity"):
             parse_config(path)
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
+                                    "capacity = 8\nbatch_size = 4\n"
+                                    "out_dir = /tmp/run#1\n")
+        assert parse_config(path).out_dir == "/tmp/run#1"
+
     def test_line_without_equals(self, tmp_path):
         path = self.write(tmp_path, "strategy memento\n")
         with pytest.raises(ConfigError, match="key = value"):

@@ -7,6 +7,7 @@ from covmem import (
     LikelihoodPredictor,
     OraclePredictor,
     Sample,
+    SamplePool,
     UniformPredictor,
     logscore,
     with_losses,
@@ -220,16 +221,17 @@ class TestWithLosses:
         rng = np.random.default_rng(2)
         train = [labeled(rng.normal(size=2), int(rng.integers(2)), i) for i in range(20)]
         p = CentroidPredictor(2).fit(train)
-        scored = with_losses(train, p)
-        for s, scored_s in zip(train, scored):
-            assert scored_s.loss == pytest.approx(p.loss(s), abs=1e-12)
-            assert s.loss is None  # original untouched
+        pool = SamplePool.from_samples(train)
+        scored = with_losses(pool, p)
+        for s, loss in zip(train, scored.loss):
+            assert loss == pytest.approx(p.loss(s), abs=1e-12)
+        assert np.isnan(pool.loss).all()  # original untouched
 
     def test_empty_input(self):
-        assert with_losses([], UniformPredictor(2)) == []
+        assert len(with_losses(SamplePool.from_samples([]), UniformPredictor(2))) == 0
 
     def test_certain_miss_is_floored(self):
         means = np.array([[0.0], [5.0]])
         sample = labeled([0.0], 1)  # oracle will put all mass on bin 0
-        (scored,) = with_losses([sample], OraclePredictor(means))
-        assert scored.loss == pytest.approx(-WORST_LOGSCORE)
+        scored = with_losses(SamplePool.from_samples([sample]), OraclePredictor(means))
+        assert scored.loss[0] == pytest.approx(-WORST_LOGSCORE)

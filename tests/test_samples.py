@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from covmem import (
     Batch,
     ReplayMemory,
     Sample,
+    SamplePool,
     StrategyConfig,
     mixture,
     read_samples,
@@ -18,8 +21,11 @@ from covmem.errors import (
     EmptyInput,
     LengthMismatch,
     NegativeProbability,
+    NonFiniteValue,
     NonNormalizedPrediction,
 )
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def make_sample(i=0, prediction=(0.5, 0.25, 0.25), output_bin=1, **kwargs):
@@ -62,6 +68,16 @@ class TestValidation:
             validate_distribution(np.array([0.5, 0.5 + 1e-8]))
 
 
+    @given(st.lists(st.floats(0.0, 1.0), max_size=5), NON_FINITE, st.integers(0, 5))
+    @example([0.5, 0.5], math.nan, 0)
+    @example([math.nan], math.nan, 0)
+    def test_non_finite_entries_are_rejected(self, finite, bad, position):
+        probs = list(finite)
+        probs.insert(min(position, len(probs)), bad)
+        with pytest.raises(NonFiniteValue):
+            validate_distribution(np.array(probs))
+
+
 class TestMixture:
     def test_elementwise_mean(self):
         got = mixture([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
@@ -97,7 +113,7 @@ class TestReplayMemory:
             out_dist=np.array([1.0, 0.0, 0.0]),
             mean_features=np.zeros(2),
         )
-        mem.replace_contents([batch], samples)
+        mem.replace_contents([batch], SamplePool.from_samples(samples))
         assert mem.sample_count == 4
         assert [s.arrival_index for s in mem.sorted_samples()] == [0, 1, 2, 3]
         np.testing.assert_array_equal(mem.class_counts(3, by="output_bin"), [2, 1, 1])
@@ -105,16 +121,74 @@ class TestReplayMemory:
     def test_replace_contents_checks_sizes(self):
         mem = ReplayMemory(capacity=10)
         with pytest.raises(LengthMismatch):
-            mem.replace_contents([], [make_sample(0)])
+            mem.replace_contents([], SamplePool.from_samples([make_sample(0)]))
 
     def test_noise_fraction(self):
         mem = ReplayMemory(capacity=10)
-        mem.samples = {
-            0: make_sample(0),
-            1: make_sample(1, noise=True),
-        }
+        mem.pool = SamplePool.from_samples([make_sample(0), make_sample(1, noise=True)])
         assert mem.noise_fraction() == 0.5
         assert ReplayMemory(capacity=3).noise_fraction() == 0.0
+
+
+@st.composite
+def sample_lists(draw):
+    """Rows with every field drawn, in strictly increasing arrival order."""
+    n = draw(st.integers(0, 10))
+    dim, bins = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    finite = st.floats(-1e6, 1e6)
+    arrivals = sorted(draw(st.sets(st.integers(0, 10**9), min_size=n, max_size=n)))
+    return [
+        Sample(
+            features=np.array(draw(st.lists(finite, min_size=dim, max_size=dim))),
+            output_bin=draw(st.integers(0, 30)),
+            prediction=np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=bins, max_size=bins))),
+            arrival_index=arrival,
+            raw_output=draw(st.floats(allow_infinity=False)),
+            loss=draw(st.none() | st.floats(0.0, 50.0)),
+            stalled=draw(st.booleans()),
+            workload=draw(st.integers(-1, 5)),
+            noise=draw(st.booleans()),
+        )
+        for arrival in arrivals
+    ]
+
+
+class TestSamplePool:
+    @given(sample_lists())
+    def test_rows_round_trip_every_field(self, samples):
+        back = SamplePool.from_samples(samples).rows()
+        assert len(back) == len(samples)
+        for a, b in zip(samples, back):
+            np.testing.assert_array_equal(b.features, a.features)
+            np.testing.assert_array_equal(b.prediction, a.prediction)
+            assert (b.output_bin, b.arrival_index, b.loss, b.stalled, b.workload, b.noise) == (
+                a.output_bin, a.arrival_index, a.loss, a.stalled, a.workload, a.noise)
+            assert b.raw_output == a.raw_output or (math.isnan(a.raw_output)
+                                                    and math.isnan(b.raw_output))
+            assert type(b.output_bin) is int and type(b.stalled) is bool
+
+    @given(sample_lists(), st.data())
+    def test_take_and_concat_keep_arrival_order(self, samples, data):
+        pool = SamplePool.from_samples(samples)
+        ids = [s.arrival_index for s in samples]
+        picked = sorted(data.draw(st.sets(st.integers(0, max(len(samples) - 1, 0)),
+                                          max_size=len(samples))))
+        taken = pool.take(np.array(picked, dtype=np.int64))
+        assert taken.arrival_index.tolist() == [ids[i] for i in picked]
+        assert taken.sorted_by_arrival() is taken
+
+        cut = data.draw(st.integers(0, len(samples)))
+        joined = SamplePool.concat([SamplePool.from_samples(samples[:cut]),
+                                    SamplePool.from_samples(samples[cut:])])
+        assert joined.arrival_index.tolist() == ids
+        assert [s.arrival_index for s in joined.rows()] == ids
+        reversed_pool = SamplePool.from_samples(samples[::-1]).sorted_by_arrival()
+        assert reversed_pool.arrival_index.tolist() == ids
+
+    def test_columns_must_share_a_length(self):
+        pool = SamplePool.from_samples([make_sample(0), make_sample(1)])
+        with pytest.raises(LengthMismatch):
+            pool.with_columns(loss=np.zeros(3))
 
 
 class TestStrategyConfig:
@@ -183,6 +257,16 @@ class TestRecords:
         path = tmp_path / "records.ndjson"
         path.write_text('{"features": [0.0], "output_bin": 0}\n')
         with pytest.raises(ValueError, match="line 1"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_prediction_rejected_without_bin_counts(self, tmp_path, bad):
+        path = tmp_path / "records.ndjson"
+        path.write_text(
+            '{"features": [0.0], "output_bin": 0, "raw_output": 0.0, '
+            f'"prediction": [{bad}, 1.0], "stalled": 0}}\n'
+        )
+        with pytest.raises(NonFiniteValue, match="line 1"):
             read_samples(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from covmem import (
     ReplayMemory,
@@ -14,7 +17,7 @@ from covmem import (
     retrain_decision,
     select,
 )
-from covmem.errors import EmptyCurrentSet, EmptyInput, NegativeTemperature
+from covmem.errors import EmptyCurrentSet, EmptyInput, NegativeTemperature, NonFiniteValue
 
 # softmax([0.4, 0.3] / 0.01), frozen from a high-precision evaluation
 SOFTMAX_TENTH_GAP = (0.9999546021312976, 4.5397868702434395e-05)
@@ -290,6 +293,17 @@ class TestSelect:
                 np.testing.assert_allclose(s.prediction, 0.25)  # rewritten
             else:
                 np.testing.assert_allclose(s.prediction, resident_before[s.arrival_index])
+
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 7),
+           st.integers(0, 3))
+    def test_non_finite_prediction_without_predictor_is_rejected(self, bad, row, col):
+        pool = [sample(i, i % 4, np.eye(4)[i % 4]) for i in range(8)]
+        prediction = np.eye(4)[row % 4]
+        prediction[col] = bad
+        pool[row] = sample(row, row % 4, prediction)
+        cfg = self.config(capacity=4)
+        with pytest.raises(NonFiniteValue):
+            select(ReplayMemory(capacity=4), pool, cfg, None, np.random.default_rng(0))
 
     def test_empty_everything(self):
         cfg = self.config()
