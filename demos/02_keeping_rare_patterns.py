@@ -28,7 +28,7 @@ def sample(kind, arrival):
 stream = [sample(COMMON, i) for i in range(499)] + [sample(RARE, 499)]
 
 cfg = StrategyConfig(capacity=25, batch_size=1, k_pred=2, k_out=2,
-                     temperature=0.0, seed=0)
+                     temperature=0.0)
 
 TRIALS = 100
 for kind in ("memento", "random"):

@@ -31,7 +31,7 @@ SEED = 0
 def noise_share_in_memory(kind, temperature):
     spec = rare_patterns(iterations=10, samples_per_iteration=3_000)
     cfg = StrategyConfig(capacity=2_000, batch_size=128, k_pred=3, k_out=3,
-                         temperature=temperature, seed=SEED)
+                         temperature=temperature)
     strategy = make_strategy(kind, base_predictor=LikelihoodPredictor(3))
     memory = ReplayMemory(capacity=cfg.capacity)
     rng = np.random.default_rng([SEED, 4])

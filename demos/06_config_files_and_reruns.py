@@ -30,25 +30,26 @@ seed                  = 11
 snapshots             = true
 """
 
-workdir = Path(tempfile.mkdtemp(prefix="covmem-demo-"))
-config_path = workdir / "run.cfg"
-config_path.write_text(CONFIG)
+with tempfile.TemporaryDirectory(prefix="covmem-demo-") as tmp:
+    workdir = Path(tmp)
+    config_path = workdir / "run.cfg"
+    config_path.write_text(CONFIG)
 
-for name in ("first", "second"):
-    subprocess.run(
-        [sys.executable, "-m", "covmem.cli", "run",
-         "--config", str(config_path), "--out-dir", str(workdir / name)],
-        check=True, stdout=subprocess.DEVNULL,
-    )
+    for name in ("first", "second"):
+        subprocess.run(
+            [sys.executable, "-m", "covmem.cli", "run",
+             "--config", str(config_path), "--out-dir", str(workdir / name)],
+            check=True, stdout=subprocess.DEVNULL,
+        )
 
-first, second = workdir / "first", workdir / "second"
-names = sorted(p.name for p in first.iterdir() if p.name != "timings.csv")
-match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+    first, second = workdir / "first", workdir / "second"
+    names = sorted(p.name for p in first.iterdir() if p.name != "timings.csv")
+    match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
 
-print(f"run directory: {first}")
-for name in names:
-    size = (first / name).stat().st_size
-    verdict = "identical" if name in match else "DIFFERS"
-    print(f"  {name:24s} {size:8d} bytes  {verdict}")
-assert not mismatch and not errors, (mismatch, errors)
-print("\nsame config, same seed, same bytes.")
+    print(f"run directory: {first} (removed on exit)")
+    for name in names:
+        size = (first / name).stat().st_size
+        verdict = "identical" if name in match else "DIFFERS"
+        print(f"  {name:24s} {size:8d} bytes  {verdict}")
+    assert not mismatch and not errors, (mismatch, errors)
+    print("\nsame config, same seed, same bytes.")

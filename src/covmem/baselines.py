@@ -23,6 +23,7 @@ import numpy as np
 
 from . import selection
 from .batching import batch_samples, bbdr
+from .distances import _entropy_rows
 from .errors import (
     EmptyCommittee,
     EmptyInput,
@@ -46,8 +47,8 @@ class SelectionStrategy(ABC):
                ) -> selection.SelectionOutcome:
         """Update ``memory`` with ``new_samples``; return what happened."""
 
-    def on_retrain(self, train_samples: list[Sample], rng: np.random.Generator) -> None:
-        """Hook the harness calls after each retraining event."""
+    def on_retrain(self, train: SamplePool, rng: np.random.Generator) -> None:
+        """Hook the harness calls after each retraining event, with the training pool."""
 
 
 def _incoming(new_samples: list[Sample], predictor, scored: bool = False) -> SamplePool:
@@ -258,13 +259,13 @@ class QbcStrategy(SelectionStrategy):
         self._base = base_predictor
         self.vote = vote
 
-    def on_retrain(self, train_samples, rng):
-        if not train_samples:
+    def on_retrain(self, train, rng):
+        if not len(train):
             return
         refreshed = []
         for _ in self.committee:
-            picks = rng.integers(0, len(train_samples), size=len(train_samples))
-            refreshed.append(self._base.fit([train_samples[i] for i in picks]))
+            picks = rng.integers(0, len(train), size=len(train))
+            refreshed.append(self._base.fit(train.take(picks)))
         self.committee = refreshed
 
     def _entropies(self, features: np.ndarray) -> np.ndarray:
@@ -273,8 +274,8 @@ class QbcStrategy(SelectionStrategy):
         member_preds = [m.predict_many(features) for m in self.committee]
         if self.vote == "soft":
             mean = np.mean(member_preds, axis=0)
-            return _entropy_bits(mean)
-        return np.mean([_entropy_bits(p) for p in member_preds], axis=0)
+            return _entropy_rows(mean)
+        return np.mean([_entropy_rows(p) for p in member_preds], axis=0)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
         pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
@@ -285,11 +286,6 @@ class QbcStrategy(SelectionStrategy):
         entropies = self._entropies(pool.features)
         order = np.lexsort((pool.arrival_index, -entropies))
         return _finish(memory, pool.take(np.sort(order[:cfg.capacity])), cfg)
-
-
-def _entropy_bits(rows: np.ndarray) -> np.ndarray:
-    safe = np.where(rows > 0, rows, 1.0)
-    return -(safe * np.log2(safe)).sum(axis=-1)
 
 
 STRATEGY_KINDS = (

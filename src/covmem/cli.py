@@ -10,9 +10,9 @@ for the key set.
 import argparse
 from dataclasses import replace
 
-from .harness import parse_config, run, sweep
+from .harness import parse_config, run, scenario_stream, sweep
 from .samples import write_samples
-from .workloads import SCENARIO_KINDS, build_scenario, generate, inject_noise
+from .workloads import SCENARIO_KINDS
 
 __all__ = ["main"]
 
@@ -70,17 +70,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    kwargs = {}
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    if args.samples_per_iteration is not None:
-        kwargs["samples_per_iteration"] = args.samples_per_iteration
-    if args.stationary and args.scenario == "rare_patterns":
-        kwargs["stationary"] = True
-    spec = build_scenario(args.scenario, **kwargs)
-    stream = generate(spec, args.seed)
-    if args.noise > 0:
-        stream = inject_noise(stream, args.noise, spec, args.seed)
+    stream, spec = scenario_stream(
+        args.scenario, args.seed, args.noise, iterations=args.iterations,
+        samples_per_iteration=args.samples_per_iteration, stationary=args.stationary,
+    )
     samples = [s for chunk in stream for s in chunk]
     write_samples(args.out, samples)
     print(f"wrote {len(samples)} samples ({spec.iterations} iterations) to {args.out}")

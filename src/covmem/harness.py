@@ -29,7 +29,7 @@ from .predictors import (
     Predictor,
     UniformPredictor,
 )
-from .samples import ReplayMemory, StrategyConfig, read_samples, write_samples
+from .samples import ReplayMemory, SamplePool, StrategyConfig, read_samples, write_samples
 from .workloads import SCENARIO_KINDS, ScenarioSpec, build_scenario, eval_set, generate, inject_noise
 
 __all__ = [
@@ -225,46 +225,53 @@ def _make_predictor(kind: str, spec: ScenarioSpec | None, k_pred: int) -> Predic
     raise ConfigError(f"unknown predictor {kind!r}")
 
 
-def _evaluate(predictor: Predictor, samples, spec: ScenarioSpec | None,
+def _evaluate(predictor: Predictor, pool: SamplePool, spec: ScenarioSpec | None,
               n_classes: int) -> tuple[float, float, float, float]:
-    """Balanced accuracy, p99 error, mean and p1 logscore on one eval set."""
-    features = np.stack([s.features for s in samples])
-    bins = np.array([s.output_bin for s in samples])
-    predictions = predictor.predict_many(features)
-    picked = predictions[np.arange(len(samples)), bins]
+    """Balanced accuracy, p99 error, mean and p1 logscore on one eval set.
+
+    Without a scenario (``spec`` is None) the set has no balanced split
+    and no bin midpoints, so accuracy and p99 are NaN.
+    """
+    predictions = predictor.predict_many(pool.features)
+    picked = predictions[np.arange(len(pool)), pool.output_bin]
     logscores = np.log2(np.maximum(picked, LOGSCORE_FLOOR))
-    regression = spec is not None and spec.regression
-    if regression:
-        midpoints = spec.bin_midpoints()
-        point = predictions @ midpoints
-        raw = np.array([s.raw_output for s in samples])
-        p99 = percentile_nearest_rank(np.abs(point - raw), 0.99)
-        acc = float("nan")
-    else:
-        workloads = np.array([s.workload for s in samples])
-        acc = balanced_accuracy(workloads, predictions.argmax(axis=1), n_classes)
-        p99 = float("nan")
+    acc = p99 = float("nan")
+    if spec is not None and spec.regression:
+        point = predictions @ spec.bin_midpoints()
+        p99 = percentile_nearest_rank(np.abs(point - pool.raw_output), 0.99)
+    elif spec is not None:
+        acc = balanced_accuracy(pool.workload, predictions.argmax(axis=1), n_classes)
     return acc, p99, float(logscores.mean()), percentile_nearest_rank(logscores, 0.01)
 
 
 # Run loop -----------------------------------------------------------------
 
 
+def scenario_stream(scenario: str, seed: int, noise_fraction: float = 0.0, **shape):
+    """Build a scenario and its stream, with noise injected when asked.
+
+    ``shape`` holds scenario-builder keywords; a ``None`` value keeps the
+    builder's default, and ``stationary`` reaches ``rare_patterns`` only.
+    Returns ``(stream, spec)``.
+    """
+    shape = {k: v for k, v in shape.items() if v is not None}
+    if scenario != "rare_patterns":
+        shape.pop("stationary", None)
+    spec = build_scenario(scenario, **shape)
+    stream = generate(spec, seed)
+    if noise_fraction > 0:
+        stream = inject_noise(stream, noise_fraction, spec, seed)
+    return stream, spec
+
+
 def _stream_and_spec(config: RunConfig):
     if config.scenario is not None:
-        kwargs = {}
-        if config.iterations is not None:
-            kwargs["iterations"] = config.iterations
-        if config.samples_per_iteration is not None:
-            kwargs["samples_per_iteration"] = config.samples_per_iteration
-        kwargs["feature_dim"] = config.feature_dim
-        kwargs["separation"] = config.separation
-        if config.scenario == "rare_patterns":
-            kwargs["stationary"] = config.stationary
-        spec = build_scenario(config.scenario, **kwargs)
-        stream = generate(spec, config.seed)
-        if config.noise_fraction > 0:
-            stream = inject_noise(stream, config.noise_fraction, spec, config.seed)
+        stream, spec = scenario_stream(
+            config.scenario, config.seed, config.noise_fraction,
+            iterations=config.iterations, samples_per_iteration=config.samples_per_iteration,
+            feature_dim=config.feature_dim, separation=config.separation,
+            stationary=config.stationary,
+        )
         return stream, spec, spec.k_pred, spec.k_out, spec.n_classes
     samples = read_samples(config.input, config.k_pred, config.k_out)
     spi = config.samples_per_iteration or len(samples)
@@ -285,7 +292,6 @@ def run(config: RunConfig) -> list[IterationReport]:
         bandwidth=config.bandwidth,
         temperature=config.temperature,
         threshold=config.threshold,
-        seed=config.seed,
         k_pred=k_pred,
         k_out=k_out,
     )
@@ -321,14 +327,14 @@ def run(config: RunConfig) -> list[IterationReport]:
             predictor = predictor.fit(train)
             strategy.on_retrain(train, rng)
             if out_dir is not None and config.snapshots:
-                write_samples(out_dir / f"memory_{t:04d}.ndjson", train)
+                write_samples(out_dir / f"memory_{t:04d}.ndjson", train.rows())
 
         if spec is not None:
-            held_out = eval_set(spec, t, config.eval_per_class, config.seed)
-            acc, p99, mean_ls, p1_ls = _evaluate(predictor, held_out, spec, n_classes)
+            scored = eval_set(spec, t, config.eval_per_class, config.seed)
         else:
-            # file-based pools have no balanced split; score the iteration itself
-            acc, p99, mean_ls, p1_ls = _evaluate_unbalanced(predictor, new_samples)
+            scored = new_samples  # file-based pools have no held-out set
+        acc, p99, mean_ls, p1_ls = _evaluate(predictor, SamplePool.from_samples(scored),
+                                             spec, n_classes)
         counts = memory.class_counts(n_classes, by="workload" if spec is not None else "output_bin")
         reports.append(IterationReport(
             iteration=t,
@@ -345,14 +351,6 @@ def run(config: RunConfig) -> list[IterationReport]:
     if out_dir is not None:
         write_reports(out_dir, reports, n_classes)
     return reports
-
-
-def _evaluate_unbalanced(predictor, samples):
-    features = np.stack([s.features for s in samples])
-    bins = np.array([s.output_bin for s in samples])
-    picked = predictor.predict_many(features)[np.arange(len(samples)), bins]
-    logscores = np.log2(np.maximum(picked, LOGSCORE_FLOOR))
-    return float("nan"), float("nan"), float(logscores.mean()), percentile_nearest_rank(logscores, 0.01)
 
 
 REPORT_FIELDS = ["iteration", "retrained", "rci", "balanced_accuracy",

@@ -9,7 +9,8 @@ a uniform dummy.
 
 A predictor that has never been fit predicts the uniform distribution,
 which lets the harness bootstrap its first iteration before any
-retraining event has happened.
+retraining event has happened.  ``fit`` takes a
+:class:`~covmem.samples.SamplePool` and reads its columns.
 """
 from abc import ABC, abstractmethod
 
@@ -48,8 +49,8 @@ class Predictor(ABC):
     n_bins: int
 
     @abstractmethod
-    def fit(self, samples: list[Sample]) -> "Predictor":
-        """Return a new predictor trained on ``samples``."""
+    def fit(self, pool: SamplePool) -> "Predictor":
+        """Return a new predictor trained on the samples of ``pool``."""
 
     @abstractmethod
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -73,7 +74,7 @@ class UniformPredictor(Predictor):
     def __init__(self, n_bins: int):
         self.n_bins = n_bins
 
-    def fit(self, samples):
+    def fit(self, pool):
         return self
 
     def predict(self, features):
@@ -95,12 +96,10 @@ class HistogramPredictor(Predictor):
         self.n_bins = n_bins
         self._frequencies = frequencies
 
-    def fit(self, samples):
-        if not samples:
+    def fit(self, pool):
+        if not len(pool):
             raise EmptyTrainingSet("histogram predictor needs at least one sample")
-        counts = np.bincount(
-            [s.output_bin for s in samples], minlength=self.n_bins
-        ).astype(float)
+        counts = np.bincount(pool.output_bin, minlength=self.n_bins).astype(float)
         return HistogramPredictor(self.n_bins, (counts + 1.0) / (counts.sum() + self.n_bins))
 
     def predict(self, features):
@@ -112,20 +111,15 @@ class HistogramPredictor(Predictor):
         return np.tile(self.predict(None), (len(features), 1))
 
 
-def _class_means(samples: list[Sample], n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+def _class_means(pool: SamplePool, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean feature vector per output bin plus a seen-bin mask."""
-    if not samples:
+    if not len(pool):
         raise EmptyTrainingSet("predictor needs at least one training sample")
-    dim = samples[0].features.shape[0]
-    sums = np.zeros((n_bins, dim))
-    counts = np.zeros(n_bins)
-    for s in samples:
-        if s.features.shape[0] != dim:
-            raise PredictorDimensionMismatch(
-                f"feature dim {s.features.shape[0]} != {dim} within one training set"
-            )
-        sums[s.output_bin] += s.features
-        counts[s.output_bin] += 1
+    # np.add.at adds rows one at a time in pool order, so the sums are
+    # bit-for-bit those of a running per-sample loop.
+    sums = np.zeros((n_bins, pool.features.shape[1]))
+    np.add.at(sums, pool.output_bin, pool.features)
+    counts = np.bincount(pool.output_bin, minlength=n_bins).astype(float)
     seen = counts > 0
     means = np.zeros_like(sums)
     means[seen] = sums[seen] / counts[seen, None]
@@ -161,10 +155,8 @@ class CentroidPredictor(Predictor):
         self._centroids = centroids  # (n_bins, n_features), rows for unseen bins unused
         self._seen = seen            # boolean mask of trained bins
 
-    def fit(self, samples):
-        if not samples:
-            raise EmptyTrainingSet("centroid predictor needs at least one sample")
-        centroids, seen = _class_means(samples, self.n_bins)
+    def fit(self, pool):
+        centroids, seen = _class_means(pool, self.n_bins)
         return CentroidPredictor(self.n_bins, self.softness, centroids, seen)
 
     def predict(self, features):
@@ -218,10 +210,8 @@ class LikelihoodPredictor(Predictor):
         self._centroids = centroids
         self._seen = seen
 
-    def fit(self, samples):
-        if not samples:
-            raise EmptyTrainingSet("likelihood predictor needs at least one sample")
-        centroids, seen = _class_means(samples, self.n_bins)
+    def fit(self, pool):
+        centroids, seen = _class_means(pool, self.n_bins)
         return LikelihoodPredictor(
             self.n_bins, self.scale, self.background, centroids, seen
         )
@@ -267,7 +257,7 @@ class OraclePredictor(Predictor):
         if self.n_bins < self.class_means.shape[0]:
             raise ValueError("n_bins smaller than the number of class means")
 
-    def fit(self, samples):
+    def fit(self, pool):
         return self
 
     def predict(self, features):
@@ -280,11 +270,7 @@ class OraclePredictor(Predictor):
                 f"got {features.shape[1]}-dim features, means are "
                 f"{self.class_means.shape[1]}-dim"
             )
-        sq = (
-            (features * features).sum(axis=1)[:, None]
-            - 2.0 * features @ self.class_means.T
-            + (self.class_means * self.class_means).sum(axis=1)[None, :]
-        )
+        sq = _squared_distances(features, self.class_means)
         out = np.zeros((len(features), self.n_bins))
         out[np.arange(len(features)), sq.argmin(axis=1)] = 1.0
         return out

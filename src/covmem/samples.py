@@ -133,11 +133,10 @@ class SamplePool:
         """Stack a sequence of :class:`Sample` rows into columns, in order."""
         if not samples:
             return cls.empty()
-        # np.array stacks rows faster than np.stack and still rejects rows
-        # of unequal length.  A float array stores a None loss as NaN.
+        # A float array stores a None loss as NaN.
         return cls(
-            features=np.array([s.features for s in samples]),
-            prediction=np.array([s.prediction for s in samples]),
+            features=_stack_rows([s.features for s in samples], "features"),
+            prediction=_stack_rows([s.prediction for s in samples], "prediction"),
             output_bin=np.array([s.output_bin for s in samples], dtype=np.int64),
             arrival_index=np.array([s.arrival_index for s in samples], dtype=np.int64),
             raw_output=np.array([s.raw_output for s in samples], dtype=float),
@@ -195,6 +194,16 @@ class SamplePool:
         ))
 
 
+def _stack_rows(rows: list, column: str) -> np.ndarray:
+    """Stack equal-length rows into a 2-D column; unequal lengths raise :class:`LengthMismatch`."""
+    # np.array stacks rows faster than np.stack and still rejects ragged rows.
+    try:
+        return np.array(rows)
+    except ValueError:
+        lengths = sorted({len(r) for r in rows})
+        raise LengthMismatch(f"{column} lengths differ within one pool: {lengths}") from None
+
+
 @dataclass(eq=False)
 class Batch:
     """A group of samples summarised by two categorical distributions.
@@ -242,13 +251,14 @@ class ReplayMemory:
     def sample_count(self) -> int:
         return len(self.pool)
 
-    def sorted_samples(self) -> list[Sample]:
-        """Members in arrival order, the canonical pool ordering.
+    def sorted_samples(self) -> SamplePool:
+        """Members in arrival order, the canonical pool ordering: the pool itself.
 
-        Rows are built on each call and carry the predictions the
-        samples were admitted with.
+        Its ``prediction`` column holds the predictions the samples were
+        admitted with.  This is the training set ``fit`` and
+        ``on_retrain`` take.
         """
-        return self.pool.rows()
+        return self.pool
 
     def replace_contents(self, batches: list[Batch], pool: SamplePool) -> None:
         """Hold ``pool``, reordered by arrival, with ``batches`` as its batch view."""
@@ -278,7 +288,8 @@ class StrategyConfig:
 
     Defaults follow the operating point used throughout: bandwidth 0.1,
     temperature 0.01, retraining threshold 0.1.  Capacity and batch size
-    are deployment-scale choices and have no safe default.
+    are deployment-scale choices and have no safe default.  Randomness
+    comes from the generator each ``select`` call is given.
     """
 
     capacity: int
@@ -286,7 +297,6 @@ class StrategyConfig:
     bandwidth: float = 0.1
     temperature: float = 0.01
     threshold: float = 0.1
-    seed: int = 0
     k_pred: int = 21
     k_out: int = 21
 

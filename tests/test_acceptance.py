@@ -158,7 +158,7 @@ def test_criterion_03_zero_temperature_matches_greedy_oracle():
                      for i in range(n)]
             capacity = int(rng.integers(1, n + 1))
             cfg = StrategyConfig(capacity=capacity, batch_size=1, k_pred=k,
-                                 k_out=k, temperature=0.0, seed=pool_index)
+                                 k_out=k, temperature=0.0)
             memory = ReplayMemory(capacity=capacity)
             outcome = make_strategy("memento").select(
                 memory, chunk, cfg, None, np.random.default_rng([pool_index, 4]))
@@ -223,7 +223,7 @@ def test_criterion_04_rare_pattern_retention():
         for seed in range(5):
             spec = rare_patterns(iterations=20, samples_per_iteration=40_000)
             cfg = StrategyConfig(capacity=capacity, batch_size=256,
-                                 k_pred=3, k_out=3, seed=seed)
+                                 k_pred=3, k_out=3)
             predictor = OraclePredictor(spec.class_means)
             counts = {}
             for kind in ("memento", "random", "fifo"):
@@ -243,7 +243,7 @@ def test_criterion_05_new_class_uptake_speed():
         for seed in range(5):
             spec = incremental(iterations=30, samples_per_iteration=10_000)
             cfg = StrategyConfig(capacity=20_000, batch_size=256,
-                                 k_pred=3, k_out=3, seed=seed)
+                                 k_pred=3, k_out=3)
             predictor = OraclePredictor(spec.class_means)
             shares = {}
             for kind in ("memento", "random"):
@@ -272,7 +272,7 @@ def test_criterion_06_noise_rejection_ordering():
                 spec = rare_patterns(iterations=30, samples_per_iteration=10_000)
                 cfg = StrategyConfig(capacity=20_000, batch_size=256,
                                      k_pred=3, k_out=3,
-                                     temperature=temperature, seed=seed)
+                                     temperature=temperature)
                 memory, _ = stream_through(kind, spec, cfg,
                                            LikelihoodPredictor(3), seed,
                                            noise=0.05)
@@ -293,7 +293,7 @@ def test_criterion_07_retraining_stays_sparse_when_stationary():
         spec = rare_patterns(iterations=51, samples_per_iteration=10_000,
                              stationary=True)
         cfg = StrategyConfig(capacity=20_000, batch_size=256, k_pred=3,
-                             k_out=3, threshold=0.1, seed=0)
+                             k_out=3, threshold=0.1)
         predictor = OraclePredictor(spec.class_means)
         _, retrain_iterations = stream_through("memento", spec, cfg,
                                                predictor, seed=0)
@@ -342,7 +342,7 @@ def test_criterion_09_million_sample_selection_time():
         spec = rare_patterns(iterations=1, samples_per_iteration=1_000_000)
         chunk = next(iter(generate(spec, seed=0)))
         cfg = StrategyConfig(capacity=100_000, batch_size=256, k_pred=3,
-                             k_out=3, seed=0)
+                             k_out=3)
         memory = ReplayMemory(capacity=cfg.capacity)
         started = time.perf_counter()
         make_strategy("memento").select(

@@ -97,7 +97,7 @@ class TestRandomReservoir:
             rng = np.random.default_rng(seed)
             for start in range(0, 200, 50):
                 RandomStrategy().select(memory, pool[start:start + 50], cfg, None, rng)
-            hits[[s.arrival_index for s in memory.sorted_samples()]] += 1
+            hits[memory.sorted_samples().arrival_index] += 1
         freqs = hits / seeds
         assert freqs.max() < 0.25  # nothing sticky
         mean_kept_arrival = (freqs * np.arange(200)).sum() / freqs.sum()
@@ -216,7 +216,7 @@ class TestLars:
         pool = [sample(i, output_bin=i % 3, loss=1.0) for i in range(5000)]
         memory, _ = run(LarsStrategy(), pool, cfg, seed=1)
         assert memory.sample_count == 50
-        latest = max(s.arrival_index for s in memory.sorted_samples())
+        latest = memory.sorted_samples().arrival_index.max()
         assert latest < 1500
 
     def test_fills_below_capacity_unconditionally(self):
@@ -247,7 +247,7 @@ class TestQbc:
             for i in range(100)
         ]
         strategy = QbcStrategy(CentroidPredictor(2), committee_size=5)
-        strategy.on_retrain(train, rng)
+        strategy.on_retrain(SamplePool.from_samples(train), rng)
 
         cfg = StrategyConfig(capacity=2, batch_size=2, k_pred=2, k_out=2)
         on_centroid = [sample(200, features=[0.0, 0.0]), sample(201, features=[4.0, 0.0])]
@@ -258,7 +258,7 @@ class TestQbc:
     def test_on_retrain_with_empty_training_set_is_a_no_op(self):
         strategy = QbcStrategy(UniformPredictor(3))
         before = list(strategy.committee)
-        strategy.on_retrain([], np.random.default_rng(0))
+        strategy.on_retrain(SamplePool.empty(), np.random.default_rng(0))
         assert strategy.committee == before
 
     def test_member_mean_vote_runs(self):
@@ -301,7 +301,7 @@ class TestFactory:
         memory, outcome = run(strategy, pool, cfg)
         assert 0 < memory.sample_count <= 25
         assert memory.last_train_batches
-        kept = {s.arrival_index for s in memory.sorted_samples()}
+        kept = set(memory.sorted_samples().arrival_index.tolist())
         assert kept == set(outcome.kept_ids.tolist())
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
@@ -335,7 +335,7 @@ def kept_id_digest(kind, seed=0):
     chunks = list(generate(spec, seed))
     strategy = make_strategy(kind, base_predictor=CentroidPredictor(3), committee_size=3)
     memory = ReplayMemory(capacity=cfg.capacity)
-    predictor = LikelihoodPredictor(3).fit(chunks[0][:200])
+    predictor = LikelihoodPredictor(3).fit(SamplePool.from_samples(chunks[0][:200]))
     rng = np.random.default_rng([seed, 4])
     digest = hashlib.sha256()
     for chunk in chunks:

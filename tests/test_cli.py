@@ -1,3 +1,5 @@
+import hashlib
+
 from covmem.cli import main
 from covmem.samples import read_samples
 
@@ -50,6 +52,21 @@ def test_gen_then_run_from_file(tmp_path, capsys):
         samples_per_iteration=500, iterations=2,
     )
     assert main(["run", "--config", str(config)]) == 0
+
+
+# sha256 of the file `covmem gen` writes below, recorded before the CLI and
+# the harness shared one scenario-stream builder.
+GOLDEN_GEN_NOISE = "da60f59783f57be4fda2c88cee7b9c9312a76393bba7e6c5b726cdb32fb0b762"
+
+
+def test_gen_output_matches_golden_digest(tmp_path, capsys):
+    pool = tmp_path / "pool.ndjson"
+    assert main([
+        "gen", "--scenario", "rare_patterns", "--out", str(pool),
+        "--iterations", "2", "--samples-per-iteration", "500",
+        "--seed", "3", "--noise", "0.1",
+    ]) == 0
+    assert hashlib.sha256(pool.read_bytes()).hexdigest() == GOLDEN_GEN_NOISE
 
 
 def test_sweep_command(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,49 @@ class TestSweep:
     def test_accepts_typed_values(self):
         results = sweep(small_config(), "temperature", [0.0, 0.01])
         assert set(results) == {"0.0", "0.01"}
+
+
+# sha256 of output files from small runs, recorded with the code that fit
+# predictors on Sample rows and scored the unbalanced path separately.
+# Fits, evaluation and snapshots must keep producing the same bytes.
+GOLDEN_OUTPUTS = {
+    "rare_patterns_centroid":
+        "a1b8012c098eded8fcf1179a27938cd02dd7103c1c7aeaeae005158b2491a940",
+    "rare_patterns_centroid_snapshot":
+        "f911b7b520e8b5a2fbbf5eb848b587c552508d72c49e4e3f44ad175872473168",
+    "gradual_drift_likelihood":
+        "defdf916501de042cb97aec7d0a7ffa8fc247e10f5c38fe9fc6d5927dc1ea2c2",
+    "file_fifo_histogram":
+        "d1183c6304f298c611b8b2d742560354b41ce7602b7158a64ece635738bf883f",
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutputs:
+    def test_rare_patterns_centroid(self, tmp_path):
+        run(small_config(out_dir=str(tmp_path), snapshots=True))
+        assert sha256_of(tmp_path / "report.csv") == GOLDEN_OUTPUTS["rare_patterns_centroid"]
+        assert sha256_of(tmp_path / "memory_0001.ndjson") == \
+            GOLDEN_OUTPUTS["rare_patterns_centroid_snapshot"]
+
+    def test_gradual_drift_likelihood(self, tmp_path):
+        run(small_config(out_dir=str(tmp_path), scenario="gradual_drift", iterations=3,
+                         predictor="likelihood", noise_fraction=0.05))
+        assert sha256_of(tmp_path / "report.csv") == GOLDEN_OUTPUTS["gradual_drift_likelihood"]
+
+    def test_file_fifo_histogram(self, tmp_path):
+        from covmem import write_samples
+        from covmem.workloads import generate, rare_patterns
+
+        spec = rare_patterns(iterations=3, samples_per_iteration=400, feature_dim=4)
+        path = tmp_path / "pool.ndjson"
+        write_samples(path, [s for chunk in generate(spec, seed=5) for s in chunk])
+        run(RunConfig(
+            strategy="fifo", capacity=300, batch_size=16, input=str(path),
+            samples_per_iteration=400, k_pred=3, k_out=3, predictor="histogram",
+            out_dir=str(tmp_path / "out"),
+        ))
+        assert sha256_of(tmp_path / "out" / "report.csv") == GOLDEN_OUTPUTS["file_fifo_histogram"]

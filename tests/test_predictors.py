@@ -12,7 +12,7 @@ from covmem import (
     logscore,
     with_losses,
 )
-from covmem.errors import EmptyTrainingSet, PredictorDimensionMismatch
+from covmem.errors import EmptyTrainingSet, LengthMismatch, PredictorDimensionMismatch
 
 WORST_LOGSCORE = -39.86313713864835  # log2 of the 1e-12 probability floor
 # 1 / (1 + e^-9): two centroids 3 apart, query sitting on the first one
@@ -45,14 +45,14 @@ class TestUniform:
     def test_always_uniform(self):
         p = UniformPredictor(4)
         np.testing.assert_allclose(p.predict(np.zeros(3)), 0.25)
-        assert p.fit([]) is p
+        assert p.fit(SamplePool.empty()) is p
         np.testing.assert_allclose(p.predict_many(np.zeros((5, 3))), 0.25)
 
 
 class TestHistogram:
     def test_add_one_smoothing(self):
         train = [labeled([0.0], 0, i) for i in range(3)] + [labeled([0.0], 1, 3)]
-        p = HistogramPredictor(3).fit(train)
+        p = HistogramPredictor(3).fit(SamplePool.from_samples(train))
         # counts [3, 1, 0] over 4 samples -> (c + 1) / (4 + 3)
         np.testing.assert_allclose(p.predict(np.zeros(1)), [4 / 7, 2 / 7, 1 / 7])
 
@@ -61,18 +61,18 @@ class TestHistogram:
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
-            HistogramPredictor(2).fit([])
+            HistogramPredictor(2).fit(SamplePool.empty())
 
     def test_fit_returns_new_object(self):
         base = HistogramPredictor(2)
-        fitted = base.fit([labeled([0.0], 0)])
+        fitted = base.fit(SamplePool.from_samples([labeled([0.0], 0)]))
         assert fitted is not base
         np.testing.assert_allclose(base.predict(np.zeros(1)), 0.5)
 
 
 class TestCentroid:
     def two_class(self):
-        train = [labeled([0.0, 0.0], 0, 0), labeled([3.0, 0.0], 1, 1)]
+        train = SamplePool.from_samples([labeled([0.0, 0.0], 0, 0), labeled([3.0, 0.0], 1, 1)])
         return CentroidPredictor(2).fit(train)
 
     def test_confidence_at_known_separation(self):
@@ -86,7 +86,7 @@ class TestCentroid:
         np.testing.assert_allclose(pred, [0.5, 0.5])
 
     def test_unseen_bins_get_zero_mass(self):
-        train = [labeled([0.0], 0, 0), labeled([2.0], 2, 1)]
+        train = SamplePool.from_samples([labeled([0.0], 0, 0), labeled([2.0], 2, 1)])
         pred = CentroidPredictor(4).fit(train).predict(np.array([0.0]))
         assert pred[1] == 0.0 and pred[3] == 0.0
         assert pred.sum() == pytest.approx(1.0)
@@ -94,7 +94,7 @@ class TestCentroid:
     def test_predict_many_matches_predict(self):
         rng = np.random.default_rng(1)
         train = [labeled(rng.normal(size=3), int(rng.integers(3)), i) for i in range(30)]
-        p = CentroidPredictor(3).fit(train)
+        p = CentroidPredictor(3).fit(SamplePool.from_samples(train))
         queries = rng.normal(size=(10, 3))
         stacked = p.predict_many(queries)
         for q, row in zip(queries, stacked):
@@ -103,14 +103,29 @@ class TestCentroid:
     def test_unfit_predicts_uniform(self):
         np.testing.assert_allclose(CentroidPredictor(4).predict(np.zeros(2)), 0.25)
 
+    def test_centroids_equal_a_per_sample_running_mean_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        train = [labeled(rng.normal(size=16) * 10.0, int(rng.integers(5)), i)
+                 for i in range(400)]
+        sums, counts = np.zeros((6, 16)), np.zeros(6)
+        for s in train:
+            sums[s.output_bin] += s.features
+            counts[s.output_bin] += 1
+        p = CentroidPredictor(6).fit(SamplePool.from_samples(train))
+        np.testing.assert_array_equal(p._seen, counts > 0)
+        np.testing.assert_array_equal(p._centroids[:5], sums[:5] / counts[:5, None])
+
     def test_dimension_mismatch(self):
         p = self.two_class()
         with pytest.raises(PredictorDimensionMismatch):
             p.predict(np.zeros(3))
 
     def test_mixed_dims_in_training_set(self):
-        with pytest.raises(PredictorDimensionMismatch):
-            CentroidPredictor(2).fit([labeled([0.0], 0, 0), labeled([0.0, 1.0], 1, 1)])
+        # ragged rows are rejected where they are stacked into a pool
+        with pytest.raises(LengthMismatch):
+            CentroidPredictor(2).fit(
+                SamplePool.from_samples([labeled([0.0], 0, 0), labeled([0.0, 1.0], 1, 1)])
+            )
 
     def test_softness_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -119,7 +134,7 @@ class TestCentroid:
 
 class TestLikelihood:
     def two_class(self):
-        train = [labeled([0.0, 0.0], 0, 0), labeled([4.0, 0.0], 1, 1)]
+        train = SamplePool.from_samples([labeled([0.0, 0.0], 0, 0), labeled([4.0, 0.0], 1, 1)])
         return LikelihoodPredictor(2).fit(train)
 
     def test_confidence_at_known_separation(self):
@@ -136,25 +151,25 @@ class TestLikelihood:
         np.testing.assert_allclose(pred, [0.5, 0.5], atol=1e-12)
 
     def test_far_queries_spread_over_unseen_bins_too(self):
-        train = [labeled([0.0], 0, 0), labeled([4.0], 1, 1)]
+        train = SamplePool.from_samples([labeled([0.0], 0, 0), labeled([4.0], 1, 1)])
         pred = LikelihoodPredictor(3).fit(train).predict(np.array([900.0]))
         np.testing.assert_allclose(pred, 1.0 / 3.0, atol=1e-12)
 
     def test_near_queries_starve_unseen_bins(self):
-        train = [labeled([0.0], 0, 0), labeled([4.0], 1, 1)]
+        train = SamplePool.from_samples([labeled([0.0], 0, 0), labeled([4.0], 1, 1)])
         pred = LikelihoodPredictor(3).fit(train).predict(np.array([0.0]))
         assert pred[0] > 0.99
         assert pred[2] < 1e-11
 
     def test_background_floor_sets_the_collapse_distance(self):
-        train = [labeled([0.0], 0, 0), labeled([4.0], 1, 1)]
+        train = SamplePool.from_samples([labeled([0.0], 0, 0), labeled([4.0], 1, 1)])
         p = LikelihoodPredictor(2).fit(train)
         # exp(-d^2/2) crosses the 1e-12 floor at d ~ 7.4 from the nearest mean
         assert p.predict(np.array([-6.0])).max() > 0.999
         assert p.predict(np.array([-12.0])).max() == pytest.approx(0.5, abs=1e-6)
 
     def test_wider_scale_softens(self):
-        train = [labeled([0.0], 0, 0), labeled([4.0], 1, 1)]
+        train = SamplePool.from_samples([labeled([0.0], 0, 0), labeled([4.0], 1, 1)])
         sharp = LikelihoodPredictor(2, scale=1.0).fit(train).predict(np.array([1.0]))
         soft = LikelihoodPredictor(2, scale=3.0).fit(train).predict(np.array([1.0]))
         assert soft.max() < sharp.max()
@@ -162,7 +177,7 @@ class TestLikelihood:
     def test_predict_many_matches_predict(self):
         rng = np.random.default_rng(3)
         train = [labeled(rng.normal(size=3), int(rng.integers(3)), i) for i in range(30)]
-        p = LikelihoodPredictor(3).fit(train)
+        p = LikelihoodPredictor(3).fit(SamplePool.from_samples(train))
         queries = np.concatenate([rng.normal(size=(8, 3)), rng.uniform(40, 90, (4, 3))])
         stacked = p.predict_many(queries)
         for q, row in zip(queries, stacked):
@@ -171,7 +186,7 @@ class TestLikelihood:
     def test_rows_are_distributions_even_when_likelihoods_underflow(self):
         rng = np.random.default_rng(4)
         train = [labeled(rng.normal(size=2), int(rng.integers(2)), i) for i in range(20)]
-        p = LikelihoodPredictor(2).fit(train)
+        p = LikelihoodPredictor(2).fit(SamplePool.from_samples(train))
         preds = p.predict_many(rng.uniform(-1e6, 1e6, size=(50, 2)))
         assert np.all(preds >= 0.0)
         np.testing.assert_allclose(preds.sum(axis=1), 1.0, atol=1e-12)
@@ -181,7 +196,7 @@ class TestLikelihood:
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
-            LikelihoodPredictor(2).fit([])
+            LikelihoodPredictor(2).fit(SamplePool.empty())
 
     def test_dimension_mismatch(self):
         with pytest.raises(PredictorDimensionMismatch):
@@ -203,7 +218,7 @@ class TestOracle:
 
     def test_fit_is_a_no_op(self):
         p = OraclePredictor(np.zeros((1, 2)))
-        assert p.fit([labeled([9.0, 9.0], 0)]) is p
+        assert p.fit(SamplePool.from_samples([labeled([9.0, 9.0], 0)])) is p
 
     def test_extra_bins_allowed(self):
         p = OraclePredictor(np.zeros((1, 2)), n_bins=3)
@@ -220,8 +235,8 @@ class TestWithLosses:
     def test_scores_match_loss_method(self):
         rng = np.random.default_rng(2)
         train = [labeled(rng.normal(size=2), int(rng.integers(2)), i) for i in range(20)]
-        p = CentroidPredictor(2).fit(train)
         pool = SamplePool.from_samples(train)
+        p = CentroidPredictor(2).fit(pool)
         scored = with_losses(pool, p)
         for s, loss in zip(train, scored.loss):
             assert loss == pytest.approx(p.loss(s), abs=1e-12)

@@ -115,7 +115,7 @@ class TestReplayMemory:
         )
         mem.replace_contents([batch], SamplePool.from_samples(samples))
         assert mem.sample_count == 4
-        assert [s.arrival_index for s in mem.sorted_samples()] == [0, 1, 2, 3]
+        assert mem.sorted_samples().arrival_index.tolist() == [0, 1, 2, 3]
         np.testing.assert_array_equal(mem.class_counts(3, by="output_bin"), [2, 1, 1])
 
     def test_replace_contents_checks_sizes(self):
@@ -128,6 +128,11 @@ class TestReplayMemory:
         mem.pool = SamplePool.from_samples([make_sample(0), make_sample(1, noise=True)])
         assert mem.noise_fraction() == 0.5
         assert ReplayMemory(capacity=3).noise_fraction() == 0.0
+
+    def test_sorted_samples_is_the_pool(self):
+        mem = ReplayMemory(capacity=10)
+        mem.replace_contents([], SamplePool.empty())
+        assert mem.sorted_samples() is mem.pool
 
 
 @st.composite
@@ -189,6 +194,14 @@ class TestSamplePool:
         pool = SamplePool.from_samples([make_sample(0), make_sample(1)])
         with pytest.raises(LengthMismatch):
             pool.with_columns(loss=np.zeros(3))
+
+    def test_ragged_rows_are_rejected(self):
+        short_features = Sample(features=np.array([1.0]), output_bin=0,
+                                prediction=np.array([1.0, 0.0, 0.0]), arrival_index=1)
+        with pytest.raises(LengthMismatch, match="features"):
+            SamplePool.from_samples([make_sample(0), short_features])
+        with pytest.raises(LengthMismatch, match="prediction"):
+            SamplePool.from_samples([make_sample(0), make_sample(1, prediction=(0.5, 0.5))])
 
 
 class TestStrategyConfig:

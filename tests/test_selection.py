@@ -153,7 +153,7 @@ class TestCoverage:
 
 class TestSelect:
     def config(self, **kwargs):
-        base = dict(capacity=8, batch_size=1, k_pred=4, k_out=4, seed=0)
+        base = dict(capacity=8, batch_size=1, k_pred=4, k_out=4)
         base.update(kwargs)
         return StrategyConfig(**base)
 
@@ -232,7 +232,7 @@ class TestSelect:
         pool = [sample(i, i % 4, np.eye(4)[i % 4]) for i in range(20)]
         memory, outcome = self.run(pool, self.config(capacity=10))
         assert memory.sample_count == len(outcome.kept_ids) == 10
-        assert {s.arrival_index for s in memory.sorted_samples()} == set(outcome.kept_ids.tolist())
+        assert set(memory.sorted_samples().arrival_index.tolist()) == set(outcome.kept_ids.tolist())
         for batch in memory.batches:
             assert np.isfinite(batch.density_pred)
             assert np.isfinite(batch.density_out)
@@ -284,15 +284,18 @@ class TestSelect:
         rng = np.random.default_rng(0)
         first = [sample(i, i % 2, np.eye(4)[i % 2]) for i in range(4)]
         select(memory, first, cfg, None, rng)
+        before = memory.sorted_samples()
         resident_before = {
-            s.arrival_index: s.prediction.copy() for s in memory.sorted_samples()
+            arrival: prediction.copy()
+            for arrival, prediction in zip(before.arrival_index.tolist(), before.prediction)
         }
         out = select(memory, [sample(10, 2, np.eye(4)[2])], cfg, UniformPredictor(4), rng)
-        for s in memory.sorted_samples():
-            if s.arrival_index == 10:
-                np.testing.assert_allclose(s.prediction, 0.25)  # rewritten
+        after = memory.sorted_samples()
+        for arrival, prediction in zip(after.arrival_index.tolist(), after.prediction):
+            if arrival == 10:
+                np.testing.assert_allclose(prediction, 0.25)  # rewritten
             else:
-                np.testing.assert_allclose(s.prediction, resident_before[s.arrival_index])
+                np.testing.assert_allclose(prediction, resident_before[arrival])
 
     @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 7),
            st.integers(0, 3))
