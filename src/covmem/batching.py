@@ -48,13 +48,12 @@ def bbdr(pool: SamplePool, predictor) -> SamplePool:
     return pool.with_columns(prediction=predictions)
 
 
-def batch_samples(samples, batch_size: int, k_out: int) -> list[Batch]:
+def batch_samples(pool: SamplePool, batch_size: int, k_out: int) -> list[Batch]:
     """Group a sample pool into homogeneous batches of size ``batch_size``.
 
     Parameters
     ----------
-    samples : SamplePool or sequence of Sample
-        A sequence of rows is stacked into a pool first.
+    pool : SamplePool
     batch_size : int
         Target members per batch.  The final chunk of each output group
         may be smaller; chunks are never merged across output bins.
@@ -68,7 +67,6 @@ def batch_samples(samples, batch_size: int, k_out: int) -> list[Batch]:
         predictions, the histogram of their output bins (a point mass,
         given the grouping), and the mean feature vector.
     """
-    pool = samples if isinstance(samples, SamplePool) else SamplePool.from_samples(samples)
     n = len(pool)
     if not n:
         raise EmptyInput("cannot batch an empty pool")

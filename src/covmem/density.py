@@ -133,6 +133,13 @@ class DensityState:
         self._active = self._active[keep]
 
     def recompute(self) -> tuple[np.ndarray, np.ndarray]:
-        """From-scratch densities of the active set (the slow route)."""
+        """From-scratch densities of the active set over the held matrices.
+
+        Row means over the active rows and columns, in active order, so
+        they equal :func:`kde` of a distance matrix built afresh over the
+        surviving batches bit for bit.  The tests hold the incremental
+        densities to them; :func:`~covmem.selection.select` takes the
+        retrain trigger's self-densities from them.
+        """
         idx = np.ix_(self._active, self._active)
         return kde(self._d_pred[idx], self.bandwidth), kde(self._d_out[idx], self.bandwidth)

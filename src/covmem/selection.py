@@ -83,14 +83,22 @@ def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, probabilities.size - 1)
 
 
-def _self_min_densities(batches: list[Batch], bandwidth: float,
-                        pred_metric: str = "jsd") -> np.ndarray:
-    d_pred = distance_matrix(
-        batches,
+def _space_matrices(pairwise, pred_metric: str, *batch_lists) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction- and output-space distances over ``batch_lists``.
+
+    ``pairwise`` is :func:`distance_matrix` (one list, the self case) or
+    :func:`cross_distance_matrix` (current against reference).
+    """
+    d_pred = pairwise(
+        *batch_lists,
         space="features" if pred_metric == "euclidean" else "pred",
         metric=pred_metric,
     )
-    d_out = distance_matrix(batches, space="out")
+    return d_pred, pairwise(*batch_lists, space="out")
+
+
+def _min_densities(pairwise, bandwidth: float, pred_metric: str, *batch_lists) -> np.ndarray:
+    d_pred, d_out = _space_matrices(pairwise, pred_metric, *batch_lists)
     return np.minimum(kde(d_pred, bandwidth), kde(d_out, bandwidth))
 
 
@@ -103,22 +111,12 @@ def coverage(batches: list[Batch], bandwidth: float, pred_metric: str = "jsd") -
     """
     if not batches:
         raise EmptyCurrentSet("coverage of an empty batch set is undefined")
-    return float(_self_min_densities(batches, bandwidth, pred_metric).sum())
+    return float(_min_densities(distance_matrix, bandwidth, pred_metric, batches).sum())
 
 
-def _cross_min_densities(current: list[Batch], reference: list[Batch],
-                         bandwidth: float, pred_metric: str = "jsd") -> np.ndarray:
-    rho = kde(
-        cross_distance_matrix(
-            current,
-            reference,
-            space="features" if pred_metric == "euclidean" else "pred",
-            metric=pred_metric,
-        ),
-        bandwidth,
-    )
-    rho_out = kde(cross_distance_matrix(current, reference, space="out"), bandwidth)
-    return np.minimum(rho, rho_out)
+def _rci(rho_self: np.ndarray, rho_cross: np.ndarray) -> float:
+    gains = np.maximum(rho_self - rho_cross, 0.0)
+    return float(gains.sum() / rho_self.sum())
 
 
 def rci(current: list[Batch], reference: list[Batch], bandwidth: float,
@@ -140,10 +138,10 @@ def rci(current: list[Batch], reference: list[Batch], bandwidth: float,
         raise EmptyCurrentSet("current batch set is empty")
     if not reference:
         return 1.0
-    rho_self = _self_min_densities(current, bandwidth, pred_metric)
-    rho_cross = _cross_min_densities(current, reference, bandwidth, pred_metric)
-    gains = np.maximum(rho_self - rho_cross, 0.0)
-    return float(gains.sum() / rho_self.sum())
+    return _rci(
+        _min_densities(distance_matrix, bandwidth, pred_metric, current),
+        _min_densities(cross_distance_matrix, bandwidth, pred_metric, current, reference),
+    )
 
 
 def retrain_decision(current: list[Batch], reference: list[Batch],
@@ -212,13 +210,7 @@ def select(
             f"(smallest is {sizes.min()}); whole-batch discards cannot reach it"
         )
 
-    d_pred = distance_matrix(
-        batches,
-        space="features" if pred_metric == "euclidean" else "pred",
-        metric=pred_metric,
-    )
-    d_out = distance_matrix(batches, space="out")
-    state = DensityState(d_pred, d_out, cfg.bandwidth)
+    state = DensityState(*_space_matrices(distance_matrix, pred_metric, batches), cfg.bandwidth)
 
     alive = list(batches)
     alive_sizes = list(sizes)
@@ -241,9 +233,17 @@ def select(
         batch.density_pred = float(rho_p)
         batch.density_out = float(rho_o)
 
-    retrain, rci_value = retrain_decision(
-        alive, memory.last_train_batches, cfg.threshold, cfg.bandwidth, pred_metric
-    )
+    # the RCI of the survivors, as rci(alive, reference) computes it, but
+    # with the self-densities read off the matrices the loop already holds
+    reference = memory.last_train_batches
+    if reference:
+        rci_value = _rci(
+            np.minimum(*state.recompute()),
+            _min_densities(cross_distance_matrix, cfg.bandwidth, pred_metric, alive, reference),
+        )
+    else:
+        rci_value = 1.0
+    retrain = rci_value >= cfg.threshold
 
     kept_ids = np.sort(np.concatenate([batch.sample_ids for batch in alive]))
     memory.replace_contents(alive, pool.take(np.searchsorted(pool.arrival_index, kept_ids)))

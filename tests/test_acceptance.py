@@ -36,6 +36,7 @@ from covmem import (
     run,
 )
 from covmem.batching import batch_samples
+from covmem.samples import SamplePool
 from covmem.density import DensityState
 
 KERNEL_PEAK = 1.0 / np.sqrt(2.0 * np.pi)
@@ -163,7 +164,7 @@ def test_criterion_03_zero_temperature_matches_greedy_oracle():
             outcome = make_strategy("memento").select(
                 memory, chunk, cfg, None, np.random.default_rng([pool_index, 4]))
 
-            batches = batch_samples(chunk, 1, k)
+            batches = batch_samples(SamplePool.from_samples(chunk), 1, k)
             pred_rows = np.stack([b.pred_dist for b in batches])
             out_rows = np.stack([b.out_dist for b in batches])
             d_pred = cdist(pred_rows, pred_rows, metric="jensenshannon") / np.sqrt(LN2)
@@ -315,7 +316,7 @@ def test_criterion_08_coverage_change_index_fixed_points():
             samples = [
                 labeled_sample(np.eye(k)[b], b, i) for i, b in enumerate(bins)
             ]
-            return batch_samples(samples, cfg_batch, k)
+            return batch_samples(SamplePool.from_samples(samples), cfg_batch, k)
 
         current = point_mass_batches([4, 5, 6, 7, 4, 5])
         reference = point_mass_batches([0, 1, 2, 3, 0, 1])
@@ -328,7 +329,8 @@ def test_criterion_08_coverage_change_index_fixed_points():
                  for i in range(int(rng.integers(1, 40)))]
             b = [labeled_sample(rng.dirichlet(np.ones(k)), int(rng.integers(k)), i)
                  for i in range(int(rng.integers(1, 40)))]
-            value = rci(batch_samples(a, 4, k), batch_samples(b, 4, k),
+            value = rci(batch_samples(SamplePool.from_samples(a), 4, k),
+                        batch_samples(SamplePool.from_samples(b), 4, k),
                         bandwidth=0.1)
             assert 0.0 <= value <= 1.0
 

@@ -62,7 +62,7 @@ class TestBbdr:
 
 class TestBatchSamples:
     def test_chunks_never_span_output_bins(self):
-        pool = [sample(i, i % 2, [0.5, 0.5]) for i in range(10)]
+        pool = SamplePool.from_samples([sample(i, i % 2, [0.5, 0.5]) for i in range(10)])
         batches = batch_samples(pool, batch_size=3, k_out=2)
         # 5 of each bin: chunk sizes 3+2 per bin
         assert [b.size for b in batches] == [3, 2, 3, 2]
@@ -70,15 +70,15 @@ class TestBatchSamples:
             assert b.out_dist.max() == 1.0  # point mass by construction
 
     def test_out_dist_is_the_member_bin(self):
-        pool = [sample(0, 2, [1.0, 0.0, 0.0, 0.0])]
+        pool = SamplePool.from_samples([sample(0, 2, [1.0, 0.0, 0.0, 0.0])])
         (batch,) = batch_samples(pool, batch_size=4, k_out=4)
         np.testing.assert_array_equal(batch.out_dist, [0.0, 0.0, 1.0, 0.0])
 
     def test_pred_dist_is_the_member_mixture(self):
-        pool = [
+        pool = SamplePool.from_samples([
             sample(0, 0, [0.8, 0.2]),
             sample(1, 0, [0.4, 0.6]),
-        ]
+        ])
         (batch,) = batch_samples(pool, batch_size=2, k_out=2)
         np.testing.assert_allclose(batch.pred_dist, mixture([[0.8, 0.2], [0.4, 0.6]]))
         np.testing.assert_allclose(batch.mean_features, [0.5])
@@ -87,7 +87,7 @@ class TestBatchSamples:
         # same output bin, two confidence levels; batches split along them
         confident = [sample(i, 0, [0.95, 0.05]) for i in range(3)]
         unsure = [sample(i + 3, 0, [0.55, 0.45]) for i in range(3)]
-        batches = batch_samples(unsure + confident, batch_size=3, k_out=2)
+        batches = batch_samples(SamplePool.from_samples(unsure + confident), batch_size=3, k_out=2)
         assert len(batches) == 2
         groups = [sorted(b.sample_ids.tolist()) for b in batches]
         assert [0, 1, 2] in groups and [3, 4, 5] in groups
@@ -96,12 +96,12 @@ class TestBatchSamples:
         # output bin equal; mode bins differ -> grouped by mode first
         mode0 = [sample(i, 0, [0.6, 0.4, 0.0]) for i in range(2)]
         mode1 = [sample(i + 2, 0, [0.3, 0.7, 0.0]) for i in range(2)]
-        batches = batch_samples(mode1 + mode0, batch_size=2, k_out=3)
+        batches = batch_samples(SamplePool.from_samples(mode1 + mode0), batch_size=2, k_out=3)
         groups = [sorted(b.sample_ids.tolist()) for b in batches]
         assert [0, 1] in groups and [2, 3] in groups
 
     def test_arrival_breaks_remaining_ties(self):
-        pool = [sample(i, 0, [0.5, 0.5]) for i in (4, 2, 0, 3, 1)]
+        pool = SamplePool.from_samples([sample(i, 0, [0.5, 0.5]) for i in (4, 2, 0, 3, 1)])
         batches = batch_samples(pool, batch_size=2, k_out=2)
         assert batches[0].sample_ids.tolist() == [0, 1]
         assert batches[1].sample_ids.tolist() == [2, 3]
@@ -113,7 +113,7 @@ class TestBatchSamples:
             sample(i, int(rng.integers(4)), rng.dirichlet(np.ones(4)), rng.normal(size=3))
             for i in range(137)
         ]
-        batches = batch_samples(pool, batch_size=16, k_out=4)
+        batches = batch_samples(SamplePool.from_samples(pool), batch_size=16, k_out=4)
         seen = np.concatenate([b.sample_ids for b in batches])
         assert sorted(seen.tolist()) == list(range(137))
         for b in batches:
@@ -124,8 +124,8 @@ class TestBatchSamples:
 
     def test_empty_pool(self):
         with pytest.raises(EmptyInput):
-            batch_samples([], batch_size=4, k_out=2)
+            batch_samples(SamplePool.from_samples([]), batch_size=4, k_out=2)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
-            batch_samples([sample(0, 0, [1.0])], batch_size=0, k_out=1)
+            batch_samples(SamplePool.from_samples([sample(0, 0, [1.0])]), batch_size=0, k_out=1)

@@ -117,6 +117,80 @@ class TestJSDMatrixPaths:
             jsd_cross(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
 
 
+def _reference_entropy_rows(rows):
+    safe = np.where(rows > 0, rows, 1.0)
+    return -(safe * np.log(safe)).sum(axis=-1) / np.log(2.0)
+
+
+def reference_jsd_pairwise(rows, block=256):
+    """The full-square blocked pass, symmetrised afterwards."""
+    n = rows.shape[0]
+    ent = _reference_entropy_rows(rows)
+    out = np.empty((n, n))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        mix = 0.5 * (rows[start:stop, None, :] + rows[None, :, :])
+        div = _reference_entropy_rows(mix) - 0.5 * (ent[start:stop, None] + ent[None, :])
+        out[start:stop] = np.sqrt(np.maximum(div, 0.0))
+    out = 0.5 * (out + out.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def reference_jsd_cross(rows_a, rows_b):
+    """The entropy-identity pass over every pair of rows."""
+    ent_a, ent_b = _reference_entropy_rows(rows_a), _reference_entropy_rows(rows_b)
+    mix = 0.5 * (rows_a[:, None, :] + rows_b[None, :, :])
+    div = _reference_entropy_rows(mix) - 0.5 * (ent_a[:, None] + ent_b[None, :])
+    return np.sqrt(np.maximum(div, 0.0))
+
+
+def mixed_rows(n, k, point_mass_share, seed):
+    """Dirichlet rows of which about ``point_mass_share`` are one-hot."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(k) * 0.7, size=n)
+    one_hot = rng.random(n) < point_mass_share
+    rows[one_hot] = np.eye(k)[rng.integers(0, k, size=int(one_hot.sum()))]
+    return rows
+
+
+class TestHalfMatrixAndPointMassPaths:
+    """Both shortcuts give exactly the full-square entropy pass's numbers."""
+
+    @given(st.integers(1, 40), st.integers(1, 24), st.integers(1, 50),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_pairwise_equals_full_square_reference(self, n, k, block, share, seed):
+        rows = mixed_rows(n, k, share, seed)
+        assert np.array_equal(jsd_pairwise(rows, block=block), reference_jsd_pairwise(rows, block))
+
+    @given(st.integers(1, 40), st.integers(1, 24), st.integers(1, 50), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_all_point_mass_pairwise_equals_full_square_reference(self, n, k, block, seed):
+        rows = mixed_rows(n, k, 1.0, seed)
+        got = jsd_pairwise(rows, block=block)
+        assert np.array_equal(got, reference_jsd_pairwise(rows, block))
+        assert set(np.unique(got)) <= {0.0, 1.0}
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_point_mass_cross_equals_entropy_path(self, n_a, n_b, k, seed):
+        rows_a = mixed_rows(n_a, k, 1.0, seed)
+        rows_b = mixed_rows(n_b, k, 1.0, seed + 1)
+        assert np.array_equal(jsd_cross(rows_a, rows_b), reference_jsd_cross(rows_a, rows_b))
+
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(2, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_mixed_cross_keeps_the_entropy_path(self, n_a, n_b, k, seed):
+        rows_a = mixed_rows(n_a, k, 1.0, seed)
+        rows_b = mixed_rows(n_b, k, 0.0, seed + 1)
+        assert np.array_equal(jsd_cross(rows_a, rows_b), reference_jsd_cross(rows_a, rows_b))
+
+    def test_scaled_one_hot_is_not_a_point_mass(self):
+        rows = np.array([[2.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(jsd_pairwise(rows), reference_jsd_pairwise(rows))
+
+
 def dirichlet_rows(k, n):
     return st.integers(0, 2**32 - 1).map(
         lambda seed: np.random.default_rng(seed).dirichlet(np.ones(k) * 0.7, size=n)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from covmem import (
     ReplayMemory,
     Sample,
+    SamplePool,
     StrategyConfig,
     UniformPredictor,
     batch_samples,
@@ -92,8 +93,8 @@ class TestDrawIndex:
         assert all(0 <= draw_index(p, rng) < 7 for _ in range(1000))
 
 
-def batches_from(pool, batch_size=1, k_out=4):
-    return batch_samples(pool, batch_size=batch_size, k_out=k_out)
+def batches_from(samples, batch_size=1, k_out=4):
+    return batch_samples(SamplePool.from_samples(samples), batch_size=batch_size, k_out=k_out)
 
 
 class TestRci:
@@ -307,6 +308,33 @@ class TestSelect:
         cfg = self.config(capacity=4)
         with pytest.raises(NonFiniteValue):
             select(ReplayMemory(capacity=4), pool, cfg, None, np.random.default_rng(0))
+
+    @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 40), st.floats(0.0, 1.0),
+           st.sampled_from(["jsd", "euclidean"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_outcome_rci_is_rci_of_the_kept_batches(self, k, batch_size, headroom,
+                                                    point_mass_share, pred_metric, seed):
+        """select's RCI, taken from the discard loop's matrices, is rci()'s value exactly."""
+        rng = np.random.default_rng(seed)
+        cfg = self.config(capacity=batch_size + headroom, batch_size=batch_size, k_pred=k,
+                          k_out=k, temperature=float(rng.choice([0.0, 0.05, 1.0])),
+                          threshold=float(rng.uniform(0.0, 1.0)))
+        memory = ReplayMemory(capacity=cfg.capacity)
+        arrival = 0
+        for _ in range(4):
+            chunk = []
+            for _ in range(int(rng.integers(1, 60))):
+                prediction = rng.dirichlet(np.ones(k))
+                if rng.random() < point_mass_share:
+                    prediction = np.eye(k)[rng.integers(k)]
+                chunk.append(sample(arrival, int(rng.integers(k)), prediction,
+                                    features=rng.normal(size=2)))
+                arrival += 1
+            reference_before = list(memory.last_train_batches)
+            outcome = select(memory, chunk, cfg, None, rng, pred_metric=pred_metric)
+            assert outcome.rci == rci(memory.batches, reference_before, cfg.bandwidth,
+                                      pred_metric)
+            assert outcome.retrain == (outcome.rci >= cfg.threshold)
 
     def test_empty_everything(self):
         cfg = self.config()
