@@ -18,11 +18,14 @@ Available kinds:
 ``qbc``                keep the samples a model committee disagrees on
 """
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import selection
-from .batching import batch_samples, bbdr
+# bbdr runs inside selection.ingest; the name stays here because
+# perfbench/spans.py wraps every module's bbdr for its layer split.
+from .batching import batch_samples, bbdr  # noqa: F401
 from .distances import _entropy_rows
 from .errors import (
     EmptyCommittee,
@@ -30,8 +33,8 @@ from .errors import (
     MissingScores,
     NotClassification,
 )
-from .predictors import Predictor, with_losses
-from .samples import ReplayMemory, Sample, SamplePool, StrategyConfig, require_finite
+from .predictors import Predictor
+from .samples import ReplayMemory, Sample, SamplePool, StrategyConfig
 
 __all__ = ["SelectionStrategy", "CoverageStrategy", "RandomStrategy", "FifoStrategy",
            "PriorityStrategy", "LarsStrategy", "QbcStrategy", "make_strategy",
@@ -42,25 +45,20 @@ class SelectionStrategy(ABC):
     """One policy for maintaining a bounded replay memory."""
 
     @abstractmethod
-    def select(self, memory: ReplayMemory, new_samples: list[Sample],
+    def select(self, memory: ReplayMemory, new_samples: Sequence[Sample],
                cfg: StrategyConfig, predictor, rng: np.random.Generator
                ) -> selection.SelectionOutcome:
-        """Update ``memory`` with ``new_samples``; return what happened."""
+        """Update ``memory`` with ``new_samples``; return what happened.
+
+        ``new_samples`` is any sequence of :class:`~covmem.samples.Sample`
+        rows with arrival indices new to the memory; every built-in
+        strategy takes it in through :func:`~covmem.selection.ingest`,
+        which stacks it once, or not at all for the pool-backed chunks
+        that :func:`~covmem.workloads.generate` yields.
+        """
 
     def on_retrain(self, train: SamplePool, rng: np.random.Generator) -> None:
         """Hook the harness calls after each retraining event, with the training pool."""
-
-
-def _incoming(new_samples: list[Sample], predictor, scored: bool = False) -> SamplePool:
-    """Stack a chunk once, re-predict it (and score losses), order it by arrival."""
-    pool = SamplePool.from_samples(new_samples)
-    if predictor is None:
-        require_finite(pool.prediction, "incoming predictions")
-    else:
-        pool = bbdr(pool, predictor)
-        if scored:
-            pool = with_losses(pool, predictor)
-    return pool.sorted_by_arrival()
 
 
 def _finish(memory: ReplayMemory, kept: SamplePool, cfg: StrategyConfig
@@ -97,7 +95,7 @@ class RandomStrategy(SelectionStrategy):
 
     def select(self, memory, new_samples, cfg, predictor, rng):
         resident = len(memory.pool)
-        pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
+        pool = selection.ingest(memory, new_samples, predictor)
         store = list(range(min(len(pool), cfg.capacity)))  # positions into ``pool``
         # Every arrival past a full memory draws one slot.  One draw with an
         # array of bounds yields the same numbers as one draw per arrival.
@@ -113,7 +111,7 @@ class FifoStrategy(SelectionStrategy):
     """Keep the ``capacity`` most recent samples, nothing else."""
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
+        pool = selection.ingest(memory, new_samples, predictor)
         return _finish(memory, pool.take(np.arange(max(0, len(pool) - cfg.capacity), len(pool))),
                        cfg)
 
@@ -154,8 +152,7 @@ class PriorityStrategy(SelectionStrategy):
         raise AssertionError(self.score)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        incoming = _incoming(new_samples, predictor, scored=self.score == "loss")
-        pool = SamplePool.concat([memory.pool, incoming])
+        pool = selection.ingest(memory, new_samples, predictor, scored=self.score == "loss")
         excess = len(pool) - cfg.capacity
         if excess <= 0:
             return _finish(memory, pool, cfg)
@@ -202,12 +199,11 @@ class LarsStrategy(SelectionStrategy):
             raise NotClassification(
                 f"loss-aware reservoir needs class labels, got task {self.task!r}"
             )
-        incoming = _incoming(new_samples, predictor, scored=True)
-        if np.isnan(incoming.loss).any():
+        resident = len(memory.pool)
+        pool = selection.ingest(memory, new_samples, predictor, scored=True)
+        if np.isnan(pool.loss[resident:]).any():
             raise MissingScores("eviction ranks by loss; samples arrived unscored "
                                 "and no predictor was given")
-        resident = len(memory.pool)
-        pool = SamplePool.concat([memory.pool, incoming])
         bins, losses, arrivals = pool.output_bin, pool.loss, pool.arrival_index
         capacity = cfg.capacity
         store = list(range(resident))  # positions into ``pool``
@@ -278,7 +274,7 @@ class QbcStrategy(SelectionStrategy):
         return np.mean([_entropy_rows(p) for p in member_preds], axis=0)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        pool = SamplePool.concat([memory.pool, _incoming(new_samples, predictor)])
+        pool = selection.ingest(memory, new_samples, predictor)
         if not len(pool):
             raise EmptyInput("nothing to select from")
         if len(pool) <= cfg.capacity:

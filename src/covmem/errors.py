@@ -30,6 +30,10 @@ class NonFiniteValue(CovmemError, ValueError):
     """An array that must be finite holds a NaN or an infinity."""
 
 
+class RepeatedArrival(CovmemError, ValueError):
+    """An incoming sample's arrival index repeats one in its chunk or in memory."""
+
+
 class BinOutOfRange(CovmemError, ValueError):
     """An output bin index falls outside ``[0, k_out)``."""
 

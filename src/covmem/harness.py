@@ -273,14 +273,15 @@ def _stream_and_spec(config: RunConfig):
             stationary=config.stationary,
         )
         return stream, spec, spec.k_pred, spec.k_out, spec.n_classes
-    samples = read_samples(config.input, config.k_pred, config.k_out)
-    spi = config.samples_per_iteration or len(samples)
-    chunks = [samples[i:i + spi] for i in range(0, len(samples), spi)]
-    if config.iterations is not None:
-        chunks = chunks[: config.iterations]
-    tagged = any(s.workload >= 0 for s in samples)
-    n_classes = (max(s.workload for s in samples) + 1) if tagged else config.k_out
-    return iter(chunks), None, config.k_pred, config.k_out, n_classes
+    # stacked once; each chunk is pool-backed rows, which both the
+    # strategy's select and the evaluation take without stacking again
+    pool = SamplePool.from_samples(read_samples(config.input, config.k_pred, config.k_out))
+    spi = config.samples_per_iteration or len(pool)
+    starts = range(0, len(pool), spi)[: config.iterations]
+    chunks = (pool.take(slice(i, i + spi)).rows() for i in starts)
+    tagged = bool((pool.workload >= 0).any())
+    n_classes = int(pool.workload.max()) + 1 if tagged else config.k_out
+    return chunks, None, config.k_pred, config.k_out, n_classes
 
 
 def run(config: RunConfig) -> list[IterationReport]:

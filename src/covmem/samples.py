@@ -3,6 +3,9 @@
 A :class:`SamplePool` is the working representation: one array per
 field, one row per sample.  :class:`Sample` is the row type at the API
 edge, for streams handed to ``select`` and for NDJSON records.
+:meth:`SamplePool.rows` returns :class:`PoolRows`, rows that carry the
+pool they were cut from, so handing them back to
+:meth:`SamplePool.from_samples` costs nothing.
 Categorical distributions are plain 1-D ``numpy`` arrays that sum to one.
 No wrapper class is used; :func:`validate_distribution` checks the
 contract where one is needed.
@@ -26,6 +29,7 @@ from .errors import (
 __all__ = [
     "Sample",
     "SamplePool",
+    "PoolRows",
     "Batch",
     "ReplayMemory",
     "StrategyConfig",
@@ -130,7 +134,12 @@ class SamplePool:
 
     @classmethod
     def from_samples(cls, samples) -> "SamplePool":
-        """Stack a sequence of :class:`Sample` rows into columns, in order."""
+        """Stack a sequence of :class:`Sample` rows into columns, in order.
+
+        :class:`PoolRows` are not stacked: their pool comes back as is.
+        """
+        if isinstance(samples, PoolRows):
+            return samples.pool
         if not samples:
             return cls.empty()
         # A float array stores a None loss as NaN.
@@ -173,14 +182,15 @@ class SamplePool:
             return self
         return self.take(np.argsort(arrival, kind="stable"))
 
-    def rows(self) -> list[Sample]:
+    def rows(self) -> "PoolRows":
         """Materialise every row as a :class:`Sample`, in pool order.
 
         ``features`` and ``prediction`` of each row are views into the
-        pool's columns.
+        pool's columns, and the rows keep the pool itself (see
+        :class:`PoolRows`).
         """
         losses = [None if math.isnan(loss) else loss for loss in self.loss.tolist()]
-        return list(map(
+        rows = PoolRows(map(
             Sample,
             self.features,
             self.output_bin.tolist(),
@@ -192,6 +202,20 @@ class SamplePool:
             self.workload.tolist(),
             self.noise.tolist(),
         ))
+        rows.pool = self
+        return rows
+
+
+class PoolRows(tuple):
+    """A tuple of :class:`Sample` rows that keeps the pool they were cut from.
+
+    Built by :meth:`SamplePool.rows` only; ``pool`` holds exactly the
+    columns that stacking the rows would give, so
+    :meth:`SamplePool.from_samples` returns it instead of stacking again.
+    Slicing or copying into a list gives plain rows that stack as usual.
+    """
+
+    pool: SamplePool
 
 
 def _stack_rows(rows: list, column: str) -> np.ndarray:
@@ -272,6 +296,8 @@ class ReplayMemory:
 
     def class_counts(self, n_classes: int, by: str = "workload") -> np.ndarray:
         """Histogram of members over ``workload`` tags or ``output_bin``."""
+        if by not in ("workload", "output_bin"):
+            raise ValueError(f"class_counts by must be 'workload' or 'output_bin', got {by!r}")
         labels = self.pool.workload if by == "workload" else self.pool.output_bin
         labels = labels[(labels >= 0) & (labels < n_classes)]
         return np.bincount(labels, minlength=n_classes).astype(np.int64)

@@ -9,6 +9,7 @@ same densities feed the retraining trigger: when the kept set covers
 regions the last training set did not, the coverage improvement ratio
 crosses its threshold and the caller should retrain.
 """
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,9 @@ from .errors import (
     EmptyCurrentSet,
     EmptyInput,
     NegativeTemperature,
+    RepeatedArrival,
 )
+from .predictors import with_losses
 from .samples import Batch, ReplayMemory, Sample, SamplePool, StrategyConfig, require_finite
 
 __all__ = [
@@ -156,9 +159,40 @@ def retrain_decision(current: list[Batch], reference: list[Batch],
     return value >= threshold, value
 
 
+def ingest(memory: ReplayMemory, new_samples: Sequence[Sample], predictor,
+           scored: bool = False) -> SamplePool:
+    """The memory's residents followed by a chunk's arrivals: what a strategy selects from.
+
+    The chunk is stacked once (:class:`~covmem.samples.PoolRows` hand
+    over their pool), re-predicted by ``predictor`` and, with
+    ``scored``, given losses; with ``predictor=None`` its predictions
+    are kept and must be finite.  The arrivals then follow the
+    residents in arrival order.  An arrival index that repeats one in
+    the chunk or in memory raises :class:`~covmem.errors.RepeatedArrival`.
+    """
+    incoming = SamplePool.from_samples(new_samples)
+    if predictor is None:
+        require_finite(incoming.prediction, "incoming predictions")
+    else:
+        incoming = bbdr(incoming, predictor)
+        if scored:
+            incoming = with_losses(incoming, predictor)
+    pool = SamplePool.concat([memory.pool, incoming.sorted_by_arrival()])
+    arrival = pool.arrival_index
+    if not np.all(arrival[1:] > arrival[:-1]):
+        ordered = np.sort(arrival)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise RepeatedArrival(
+                f"arrival_index {repeated[0]} occurs more than once among "
+                "the incoming samples and the memory"
+            )
+    return pool
+
+
 def select(
     memory: ReplayMemory,
-    new_samples: list[Sample],
+    new_samples: Sequence[Sample],
     cfg: StrategyConfig,
     predictor,
     rng: np.random.Generator,
@@ -171,10 +205,14 @@ def select(
     memory : ReplayMemory
         Mutated in place: afterwards it holds the surviving samples,
         their batch view, and (on retraining) the new reference batches.
-    new_samples : list of Sample
-        Fresh arrivals, stacked into a :class:`SamplePool` once.  Their
-        predictions are overwritten by ``predictor`` on the way in;
-        in-memory samples keep the predictions they arrived with.
+    new_samples : sequence of Sample
+        Fresh arrivals, stacked into a :class:`SamplePool` once (see
+        :func:`ingest`); the chunks of :func:`~covmem.workloads.generate`
+        carry their pool and are not stacked at all.  Their predictions
+        are overwritten by ``predictor`` on the way in; in-memory samples
+        keep the predictions they arrived with.  Arrival indices must
+        be new: one already in the chunk or in memory raises
+        :class:`~covmem.errors.RepeatedArrival`.
     cfg : StrategyConfig
     predictor : Predictor or None
         Black box for ingestion.  ``None`` keeps incoming predictions,
@@ -192,12 +230,7 @@ def select(
     SelectionOutcome
         Kept sample ids, the discard trace, and the retrain decision.
     """
-    incoming = SamplePool.from_samples(new_samples)
-    if predictor is not None:
-        incoming = bbdr(incoming, predictor)
-    else:
-        require_finite(incoming.prediction, "incoming predictions")
-    pool = SamplePool.concat([memory.pool, incoming]).sorted_by_arrival()
+    pool = ingest(memory, new_samples, predictor).sorted_by_arrival()
     if not len(pool):
         raise EmptyInput("nothing to select from: memory and new samples are both empty")
 

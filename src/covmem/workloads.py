@@ -8,8 +8,11 @@ classes mix.  Three builders cover the drift shapes of interest:
 ``incremental``     classes appear one after another in disjoint phases
 ``gradual_drift``   all classes always present, output scale creeps up
 
-Streams are lists of samples per iteration; arrival indices are a
-single global counter so strategies can reconstruct stream position.
+Streams yield one chunk of samples per iteration: pool-backed
+:class:`~covmem.samples.Sample` rows (:class:`~covmem.samples.PoolRows`)
+that hand their columns to ``select`` without being stacked again.
+Arrival indices are a single global counter so strategies can
+reconstruct stream position.
 """
 from dataclasses import dataclass
 
@@ -17,7 +20,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .errors import BadFraction, BadSchedule
-from .samples import Sample
+from .samples import PoolRows, SamplePool
 
 __all__ = [
     "ScenarioSpec",
@@ -234,14 +237,22 @@ def build_scenario(kind: str, **kwargs) -> ScenarioSpec:
 # Stream generation -------------------------------------------------------
 
 
+def _uniform(k_pred: int) -> np.ndarray:
+    return np.full(k_pred, 1.0 / k_pred)
+
+
 def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
-                        rng: np.random.Generator, start_index: int) -> list[Sample]:
+                        rng: np.random.Generator, start_index: int) -> PoolRows:
+    """Rows of one pool drawn for ``labels``, with placeholder uniform predictions.
+
+    Every row's prediction is a view of one read-only uniform row, so the
+    ``prediction`` column takes ``k_pred`` floats, not ``n * k_pred``.
+    """
     n = labels.shape[0]
     features = (
         spec.class_means[labels]
         + spec.class_scales[labels, None] * rng.standard_normal((n, spec.feature_dim))
     )
-    uniform = np.full(spec.k_pred, 1.0 / spec.k_pred)
     if spec.regression:
         raw = spec.output_scales[iteration] * np.exp(
             rng.normal(spec.log_medians[labels], spec.out_sigma)
@@ -250,23 +261,30 @@ def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
     else:
         raw = labels.astype(float)
         bins = labels
-    samples = []
-    for i in range(n):
-        samples.append(Sample(
-            features=features[i],
-            output_bin=int(bins[i]),
-            prediction=uniform.copy(),
-            arrival_index=start_index + i,
-            raw_output=float(raw[i]),
-            stalled=spec.stall_class is not None and labels[i] == spec.stall_class,
-            workload=int(labels[i]),
-        ))
-    return samples
+    if spec.stall_class is None:
+        stalled = np.zeros(n, dtype=bool)
+    else:
+        stalled = labels == spec.stall_class
+    return SamplePool(
+        features=features,
+        prediction=np.broadcast_to(_uniform(spec.k_pred), (n, spec.k_pred)),
+        output_bin=bins,
+        arrival_index=np.arange(start_index, start_index + n),
+        raw_output=raw,
+        loss=np.full(n, np.nan),
+        stalled=stalled,
+        workload=labels,
+        noise=np.zeros(n, dtype=bool),
+    ).rows()
 
 
 def generate(spec: ScenarioSpec, seed: int = 0):
-    """Yield one list of samples per iteration, deterministically.
+    """Yield one chunk of samples per iteration, deterministically.
 
+    Each chunk is a :class:`~covmem.samples.PoolRows`: a tuple of
+    :class:`~covmem.samples.Sample` rows that carries the pool it was
+    cut from, so ``SamplePool.from_samples(chunk)`` costs nothing.
+    Predictions are uniform placeholders, read-only views of one row.
     Class labels are drawn from the iteration's schedule row, so
     realized mixture fractions carry ordinary multinomial noise around
     the scheduled weights.
@@ -281,11 +299,12 @@ def generate(spec: ScenarioSpec, seed: int = 0):
         yield samples
 
 
-def eval_set(spec: ScenarioSpec, iteration: int, per_class: int, seed: int = 0) -> list[Sample]:
+def eval_set(spec: ScenarioSpec, iteration: int, per_class: int, seed: int = 0) -> PoolRows:
     """Balanced held-out draw from every class at one iteration's state.
 
     Independent of the training stream: evaluation never perturbs the
     stream's random state.  Arrival indices are local to the set.
+    Returns pool-backed rows, like the chunks of :func:`generate`.
     """
     rng = np.random.default_rng([seed, 2, iteration])
     labels = np.repeat(np.arange(spec.n_classes), per_class)
@@ -304,6 +323,12 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     where it would be trivially identifiable.  Replacements carry
     ``noise=True`` purely for evaluation; selection strategies never
     read the flag.
+
+    Each chunk is taken in as a pool (pool-backed rows hand theirs
+    over; other sequences of samples are stacked), its columns are
+    copied with the replaced positions overwritten, and it comes out as
+    pool-backed rows.  The random draws per replaced position are the
+    output bin, then the raw output (regression only), then the features.
     """
     if not 0.0 <= fraction <= 1.0:
         raise BadFraction(f"noise fraction must lie in [0, 1], got {fraction}")
@@ -312,32 +337,37 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     if spec.n_classes > 1:
         half = max(0.25 * float(pdist(spec.class_means).mean()), 1.0)
     lo, hi = -half, half
-    uniform = np.full(spec.k_pred, 1.0 / spec.k_pred)
 
     def _noisy(iteration_samples):
-        n = len(iteration_samples)
+        pool = SamplePool.from_samples(iteration_samples)
+        n = len(pool)
         count = int(round(fraction * n))
-        replaced = list(iteration_samples)
         if count == 0:
-            return replaced
+            return pool.rows()
         positions = rng.choice(n, size=count, replace=False)
+        features = pool.features.astype(float)
+        output_bin = pool.output_bin.copy()
+        raw_output = pool.raw_output.copy()
         for pos in positions:
-            victim = replaced[pos]
             bin_ = int(rng.integers(spec.k_out))
+            output_bin[pos] = bin_
             if spec.regression:
-                raw = float(rng.uniform(spec.bin_edges[bin_], spec.bin_edges[bin_ + 1]))
+                raw_output[pos] = rng.uniform(spec.bin_edges[bin_], spec.bin_edges[bin_ + 1])
             else:
-                raw = float(bin_)
-            replaced[pos] = Sample(
-                features=rng.uniform(lo, hi, spec.feature_dim),
-                output_bin=bin_,
-                prediction=uniform.copy(),
-                arrival_index=victim.arrival_index,
-                raw_output=raw,
-                workload=-1,
-                noise=True,
-            )
-        return replaced
+                raw_output[pos] = bin_
+            features[pos] = rng.uniform(lo, hi, spec.feature_dim)
+        prediction = pool.prediction.astype(float)
+        prediction[positions] = _uniform(spec.k_pred)
+        loss, stalled, workload, noise = (
+            pool.loss.copy(), pool.stalled.copy(), pool.workload.copy(), pool.noise.copy())
+        loss[positions] = np.nan
+        stalled[positions] = False
+        workload[positions] = -1
+        noise[positions] = True
+        return pool.with_columns(
+            features=features, prediction=prediction, output_bin=output_bin,
+            raw_output=raw_output, loss=loss, stalled=stalled, workload=workload, noise=noise,
+        ).rows()
 
     for iteration_samples in stream:
         yield _noisy(iteration_samples)

@@ -25,6 +25,7 @@ from covmem.errors import (
     MissingScores,
     NonFiniteValue,
     NotClassification,
+    RepeatedArrival,
 )
 
 
@@ -313,6 +314,34 @@ class TestFactory:
         strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
         with pytest.raises(NonFiniteValue):
             run(strategy, pool, cfg)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_every_kind_rejects_a_chunk_fed_twice(self, kind):
+        cfg = StrategyConfig(capacity=200, batch_size=8, k_pred=3, k_out=3)
+        (chunk,) = generate(rare_patterns(iterations=1, samples_per_iteration=300), seed=0)
+        strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
+        memory, _ = run(strategy, chunk, cfg, predictor=UniformPredictor(3))
+        kept = memory.pool.arrival_index.copy()
+        with pytest.raises(RepeatedArrival):
+            run(strategy, chunk, cfg, predictor=UniformPredictor(3), memory=memory)
+        np.testing.assert_array_equal(memory.pool.arrival_index, kept)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_every_kind_rejects_a_repeat_within_a_chunk(self, kind):
+        cfg = StrategyConfig(capacity=4, batch_size=2, k_pred=3, k_out=3)
+        pool = [sample(i, loss=1.0) for i in (5, 3, 1, 3, 0)]
+        strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
+        with pytest.raises(RepeatedArrival):
+            run(strategy, pool, cfg)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    def test_every_kind_takes_new_ids_that_interleave_with_memory(self, kind):
+        cfg = StrategyConfig(capacity=6, batch_size=2, k_pred=3, k_out=3)
+        strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
+        memory, _ = run(strategy, [sample(i, loss=1.0) for i in (0, 2, 4)], cfg)
+        memory, outcome = run(strategy, [sample(i, loss=1.0) for i in (5, 3, 1)], cfg,
+                              memory=memory)
+        assert outcome.kept_ids.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 # sha256 over the kept_ids of every select call in kept_id_digest(), one

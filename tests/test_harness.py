@@ -319,3 +319,23 @@ class TestGoldenOutputs:
             out_dir=str(tmp_path / "out"),
         ))
         assert sha256_of(tmp_path / "out" / "report.csv") == GOLDEN_OUTPUTS["file_fifo_histogram"]
+
+
+def test_file_run_stacks_the_file_once(tmp_path, monkeypatch):
+    """Selection and evaluation share each chunk's pool; no row is stacked twice."""
+    from covmem import samples, write_samples
+    from covmem.workloads import generate, rare_patterns
+
+    spec = rare_patterns(iterations=3, samples_per_iteration=100, feature_dim=4)
+    path = tmp_path / "pool.ndjson"
+    write_samples(path, [s for chunk in generate(spec, seed=5) for s in chunk])
+    stacked = []
+    stack_rows = samples._stack_rows
+    monkeypatch.setattr(samples, "_stack_rows",
+                        lambda rows, column: stacked.append(column) or stack_rows(rows, column))
+    reports = run(RunConfig(
+        strategy="memento", capacity=150, batch_size=8, input=str(path),
+        samples_per_iteration=100, k_pred=3, k_out=3, predictor="histogram",
+    ))
+    assert len(reports) == 3
+    assert stacked == ["features", "prediction"]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from covmem import (
     validate_sample,
     write_samples,
 )
+from covmem.samples import PoolRows
 from covmem.errors import (
     BinOutOfRange,
     EmptyInput,
@@ -118,6 +120,13 @@ class TestReplayMemory:
         assert mem.sorted_samples().arrival_index.tolist() == [0, 1, 2, 3]
         np.testing.assert_array_equal(mem.class_counts(3, by="output_bin"), [2, 1, 1])
 
+    @pytest.mark.parametrize("by", ["workloads", "output", ""])
+    def test_class_counts_rejects_an_unknown_column(self, by):
+        mem = ReplayMemory(capacity=10)
+        mem.pool = SamplePool.from_samples([make_sample(0, workload=1)])
+        with pytest.raises(ValueError, match="workload"):
+            mem.class_counts(3, by=by)
+
     def test_replace_contents_checks_sizes(self):
         mem = ReplayMemory(capacity=10)
         with pytest.raises(LengthMismatch):
@@ -189,6 +198,19 @@ class TestSamplePool:
         assert [s.arrival_index for s in joined.rows()] == ids
         reversed_pool = SamplePool.from_samples(samples[::-1]).sorted_by_arrival()
         assert reversed_pool.arrival_index.tolist() == ids
+
+    @given(sample_lists())
+    def test_rows_carry_their_pool(self, samples):
+        pool = SamplePool.from_samples(samples)
+        rows = pool.rows()
+        assert isinstance(rows, PoolRows) and isinstance(rows, tuple)
+        assert SamplePool.from_samples(rows) is pool
+        # slices and lists are plain rows again, stacked as any other
+        assert type(rows[:]) is tuple and SamplePool.from_samples(rows[:]) is not pool
+        restacked = SamplePool.from_samples(list(rows))
+        assert restacked is not pool
+        for f in fields(SamplePool):
+            np.testing.assert_array_equal(getattr(restacked, f.name), getattr(pool, f.name))
 
     def test_columns_must_share_a_length(self):
         pool = SamplePool.from_samples([make_sample(0), make_sample(1)])

@@ -1,7 +1,13 @@
+import hashlib
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covmem import (
+    Sample,
+    SamplePool,
     ScenarioSpec,
     build_scenario,
     eval_set,
@@ -214,6 +220,29 @@ class TestInjectNoise:
                 assert s.workload == -1
                 assert 0 <= s.output_bin < spec.k_out
 
+    def test_replacements_reset_every_field_of_plain_rows(self):
+        spec = rare_patterns(iterations=2, samples_per_iteration=200)
+        plain = [
+            [Sample(features=s.features, output_bin=1, prediction=np.array([0.0, 1.0, 0.0]),
+                    arrival_index=s.arrival_index, raw_output=1.0, loss=0.5, stalled=True,
+                    workload=1)
+             for s in chunk]
+            for chunk in generate(spec, seed=0)
+        ]
+        noisy = list(inject_noise(plain, 0.25, spec, seed=0))
+        for before, after in zip(plain, noisy):
+            assert sum(s.noise for s in after) == 50
+            for a, b in zip(before, after):
+                assert b.arrival_index == a.arrival_index
+                if b.noise:
+                    assert (b.loss, b.stalled, b.workload) == (None, False, -1)
+                    assert b.raw_output == float(b.output_bin)
+                    np.testing.assert_array_equal(b.prediction, np.full(3, 1 / 3))
+                else:
+                    assert (b.loss, b.stalled, b.workload, b.output_bin) == (0.5, True, 1, 1)
+                    np.testing.assert_array_equal(b.features, a.features)
+                    np.testing.assert_array_equal(b.prediction, a.prediction)
+
     def test_bad_fraction(self):
         spec = rare_patterns(iterations=1, samples_per_iteration=10)
         with pytest.raises(BadFraction):
@@ -295,3 +324,108 @@ class TestSpecValidation:
         np.testing.assert_allclose(mids[0], spec.bin_edges[:2].mean())
         classification = rare_patterns(iterations=5, samples_per_iteration=1)
         np.testing.assert_array_equal(classification.bin_midpoints(), [0.0, 1.0, 2.0])
+
+
+# sha256 over every column of generator output, recorded with the code that
+# built each chunk row by row as a list of Sample objects.  Each chunk is
+# hashed twice: as the pool SamplePool.from_samples returns for the chunk
+# itself and as the pool stacked from a plain list of its rows.  Keys are
+# scenario-seed-output; shapes are those of GOLDEN_COLUMN_SPEC.
+GOLDEN_COLUMN_SPEC = dict(iterations=3, samples_per_iteration=300, feature_dim=4)
+GOLDEN_COLUMNS = {
+    "rare_patterns-0-stream":
+        "614946dc863f191a9d118f54cc8e374dec51b333cea7d9d812a27219d8888108",
+    "rare_patterns-0-noise0.1":
+        "e79802c4f22f4ce1adb9acbc4bab1b3d0d3770b9c915198e8c6c09e352c3e105",
+    "rare_patterns-0-eval":
+        "5e02ba901bd379672e1bbbb9c2413ab15bc2d9cfe4d66ebc5d4750b0aaf4a983",
+    "rare_patterns-5-stream":
+        "d7c05e37917f898b24ee2f6df91626e75d30a153c30e6730466f0546f3104c4d",
+    "rare_patterns-5-noise0.1":
+        "69e5997173364137d17b7e44dbb05c2a5d1abe05d6778a12cbff267ad98f76cc",
+    "rare_patterns-5-eval":
+        "77635bb351e035372c03f02b2414838f2e6475b293ec27bb04ebbcbe6e17328e",
+    "incremental-0-stream":
+        "b81cf35c97fc58320eef0ca0269af893ba3c1d3d10d916cb57b68b9fb8b72e8e",
+    "incremental-0-noise0.1":
+        "c113469326dd353b99973993dd6fc0aa5528d9ba1ceb606c48382f9bf8b16732",
+    "incremental-0-eval":
+        "4483301c0ab58c0ae3ab65d2dd90e1e51ab9aaf5387519d36b51c0ed1bb61156",
+    "incremental-5-stream":
+        "9f3785327fd12a9c23bd64d0b0102b4f461d6cbc8e5bedaeff97344a9dcfebe4",
+    "incremental-5-noise0.1":
+        "45f425d259b50f0c2e87c12cc05ae34199389d64a11e4df771105a1b2d14478f",
+    "incremental-5-eval":
+        "3d630439c799c4ee82d4e1a7c1d95d94f2628f01850f2d94cf560e24894e5656",
+    "gradual_drift-0-stream":
+        "dfca3dceb76632db364d699b9fa6e23039f1aba2410023075d243f9127baad58",
+    "gradual_drift-0-noise0.1":
+        "fc165f392645f858c08daf11ae9c6f58d1736474df1279fc47de5ec96094c7c5",
+    "gradual_drift-0-eval":
+        "0dcbecb8ef5b2f0eec02673d7953b25fde45a399689d2b4998b28737067d9a52",
+    "gradual_drift-5-stream":
+        "5bfe32ddfbb58914af72103dd8fbe44da3a45c2dc445d5d72e4d4163fe94545b",
+    "gradual_drift-5-noise0.1":
+        "c57bac6f039e185cc95ab5757b841c14e5d8b201f8f848684773ee04f7f228b9",
+    "gradual_drift-5-eval":
+        "90a88ed78c27ed2df47aba4db45867978e1d1b190ecbc50b17b328b026fbc40c",
+}
+
+
+def column_digest(chunks):
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        for pool in (SamplePool.from_samples(chunk), SamplePool.from_samples(list(chunk))):
+            for f in fields(SamplePool):
+                column = getattr(pool, f.name)
+                digest.update(f"{f.name} {column.dtype.str} {column.shape}".encode())
+                digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def generator_outputs(kind, seed):
+    spec = build_scenario(kind, **GOLDEN_COLUMN_SPEC)
+    return {
+        "stream": list(generate(spec, seed)),
+        "noise0.1": list(inject_noise(generate(spec, seed), 0.1, spec, seed)),
+        "eval": [eval_set(spec, 1, 25, seed), eval_set(spec, 2, 25, seed)],
+    }
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("seed", [0, 5])
+def test_generator_columns_match_golden_digests(kind, seed):
+    for output, chunks in generator_outputs(kind, seed).items():
+        assert column_digest(chunks) == GOLDEN_COLUMNS[f"{kind}-{seed}-{output}"], output
+    # a zero noise fraction hands every row through unchanged
+    spec = build_scenario(kind, **GOLDEN_COLUMN_SPEC)
+    assert column_digest(inject_noise(generate(spec, seed), 0.0, spec, seed)) == \
+        GOLDEN_COLUMNS[f"{kind}-{seed}-stream"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(SCENARIO_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    samples_per_iteration=st.integers(1, 60),
+    feature_dim=st.integers(1, 5),
+    noise=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    per_class=st.integers(1, 8),
+)
+def test_generator_chunks_carry_the_pool_their_rows_stack_into(
+        kind, seed, samples_per_iteration, feature_dim, noise, per_class):
+    spec = build_scenario(kind, iterations=3, samples_per_iteration=samples_per_iteration,
+                          feature_dim=feature_dim)
+    chunks = [
+        *generate(spec, seed),
+        *inject_noise(generate(spec, seed), noise, spec, seed),
+        eval_set(spec, 2, per_class, seed),
+    ]
+    for chunk in chunks:
+        carried = SamplePool.from_samples(chunk)
+        assert carried is chunk.pool
+        stacked = SamplePool.from_samples(list(chunk))
+        for f in fields(SamplePool):
+            got, want = getattr(carried, f.name), getattr(stacked, f.name)
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), f.name
