@@ -20,19 +20,16 @@ from .samples import (
 from .distances import (
     cross_distance_matrix,
     distance_matrix,
-    euclidean_mean_distance,
     jsd,
     jsd_cross,
     jsd_pairwise,
     kl_divergence,
-    validate_distance_matrix,
 )
-from .batching import batch_samples, bbdr, mode_and_confidence
-from .density import DensityState, aggregate_min, kde
+from .batching import batch_samples, bbdr
+from .density import DensityState, kde
 from .selection import (
     DiscardEvent,
     SelectionOutcome,
-    coverage,
     discard_probabilities,
     draw_index,
     rci,
@@ -89,10 +86,10 @@ __all__ = [
     "mixture", "validate_distribution", "validate_sample",
     "read_samples", "write_samples",
     "kl_divergence", "jsd", "jsd_pairwise", "jsd_cross", "distance_matrix",
-    "cross_distance_matrix", "euclidean_mean_distance", "validate_distance_matrix",
-    "batch_samples", "bbdr", "mode_and_confidence",
-    "kde", "aggregate_min", "DensityState",
-    "discard_probabilities", "draw_index", "select", "coverage",
+    "cross_distance_matrix",
+    "batch_samples", "bbdr",
+    "kde", "DensityState",
+    "discard_probabilities", "draw_index", "select",
     "rci", "retrain_decision", "SelectionOutcome", "DiscardEvent",
     "SelectionStrategy", "CoverageStrategy", "RandomStrategy", "FifoStrategy",
     "PriorityStrategy", "LarsStrategy", "QbcStrategy", "make_strategy",

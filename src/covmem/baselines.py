@@ -23,8 +23,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import selection
-# bbdr runs inside selection.ingest; the name stays here because
-# perfbench/spans.py wraps every module's bbdr for its layer split.
+# Neither name is called here: bbdr runs inside selection.ingest, and
+# only the coverage strategy batches.  Both stay because
+# perfbench/spans.py wraps every module's bbdr and batch_samples for its
+# layer split.
 from .batching import batch_samples, bbdr  # noqa: F401
 from .distances import _entropy_rows
 from .errors import (
@@ -54,19 +56,20 @@ class SelectionStrategy(ABC):
         rows with arrival indices new to the memory; every built-in
         strategy takes it in through :func:`~covmem.selection.ingest`,
         which stacks it once, or not at all for the pool-backed chunks
-        that :func:`~covmem.workloads.generate` yields.
+        that :func:`~covmem.workloads.generate` yields, and rejects bad
+        input with a typed error before the memory changes.
         """
 
     def on_retrain(self, train: SamplePool, rng: np.random.Generator) -> None:
         """Hook the harness calls after each retraining event, with the training pool."""
 
 
-def _finish(memory: ReplayMemory, kept: SamplePool, cfg: StrategyConfig
-            ) -> selection.SelectionOutcome:
-    """Store survivors, rebuild the batch view, report an always-retrain outcome."""
-    batches = batch_samples(kept, cfg.batch_size, cfg.k_out) if len(kept) else []
-    memory.replace_contents(batches, kept)
-    memory.last_train_batches = list(batches)
+def _finish(memory: ReplayMemory, kept: SamplePool) -> selection.SelectionOutcome:
+    """Store the survivors and report an always-retrain outcome.
+
+    A baseline has no retrain trigger, so it keeps no reference batches.
+    """
+    memory.replace_contents(kept)
     return selection.SelectionOutcome(memory.pool.arrival_index.copy(), [], True, 1.0)
 
 
@@ -95,7 +98,7 @@ class RandomStrategy(SelectionStrategy):
 
     def select(self, memory, new_samples, cfg, predictor, rng):
         resident = len(memory.pool)
-        pool = selection.ingest(memory, new_samples, predictor)
+        pool = selection.ingest(memory, new_samples, cfg, predictor)
         store = list(range(min(len(pool), cfg.capacity)))  # positions into ``pool``
         # Every arrival past a full memory draws one slot.  One draw with an
         # array of bounds yields the same numbers as one draw per arrival.
@@ -104,16 +107,15 @@ class RandomStrategy(SelectionStrategy):
         hit = slots < cfg.capacity
         for j, slot in zip(late[hit].tolist(), slots[hit].tolist()):
             store[slot] = j
-        return _finish(memory, pool.take(sorted(store)), cfg)
+        return _finish(memory, pool.take(sorted(store)))
 
 
 class FifoStrategy(SelectionStrategy):
     """Keep the ``capacity`` most recent samples, nothing else."""
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        pool = selection.ingest(memory, new_samples, predictor)
-        return _finish(memory, pool.take(np.arange(max(0, len(pool) - cfg.capacity), len(pool))),
-                       cfg)
+        pool = selection.ingest(memory, new_samples, cfg, predictor)
+        return _finish(memory, pool.take(np.arange(max(0, len(pool) - cfg.capacity), len(pool))))
 
 
 # scalar-priority strategies ----------------------------------------------
@@ -152,10 +154,10 @@ class PriorityStrategy(SelectionStrategy):
         raise AssertionError(self.score)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        pool = selection.ingest(memory, new_samples, predictor, scored=self.score == "loss")
+        pool = selection.ingest(memory, new_samples, cfg, predictor, scored=self.score == "loss")
         excess = len(pool) - cfg.capacity
         if excess <= 0:
-            return _finish(memory, pool, cfg)
+            return _finish(memory, pool)
 
         alive = np.ones(len(pool), dtype=bool)
         if self.score == "label_count":
@@ -171,7 +173,7 @@ class PriorityStrategy(SelectionStrategy):
             for _ in range(excess):
                 j = _discard_index(signed[alive], cfg.temperature, rng)
                 alive[np.flatnonzero(alive)[j]] = False
-        return _finish(memory, pool.take(np.flatnonzero(alive)), cfg)
+        return _finish(memory, pool.take(np.flatnonzero(alive)))
 
 
 def _discard_index(signed: np.ndarray, temperature: float, rng) -> int:
@@ -200,7 +202,7 @@ class LarsStrategy(SelectionStrategy):
                 f"loss-aware reservoir needs class labels, got task {self.task!r}"
             )
         resident = len(memory.pool)
-        pool = selection.ingest(memory, new_samples, predictor, scored=True)
+        pool = selection.ingest(memory, new_samples, cfg, predictor, scored=True)
         if np.isnan(pool.loss[resident:]).any():
             raise MissingScores("eviction ranks by loss; samples arrived unscored "
                                 "and no predictor was given")
@@ -217,7 +219,7 @@ class LarsStrategy(SelectionStrategy):
                 continue
             held = np.array(store)
             store[self._victim(bins[held], losses[held], arrivals[held], cfg.k_out)] = j
-        return _finish(memory, pool.take(sorted(store)), cfg)
+        return _finish(memory, pool.take(sorted(store)))
 
     @staticmethod
     def _victim(bins: np.ndarray, losses: np.ndarray, arrivals: np.ndarray, k_out: int) -> int:
@@ -274,14 +276,14 @@ class QbcStrategy(SelectionStrategy):
         return np.mean([_entropy_rows(p) for p in member_preds], axis=0)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
-        pool = selection.ingest(memory, new_samples, predictor)
+        pool = selection.ingest(memory, new_samples, cfg, predictor)
         if not len(pool):
             raise EmptyInput("nothing to select from")
         if len(pool) <= cfg.capacity:
-            return _finish(memory, pool, cfg)
+            return _finish(memory, pool)
         entropies = self._entropies(pool.features)
         order = np.lexsort((pool.arrival_index, -entropies))
-        return _finish(memory, pool.take(np.sort(order[:cfg.capacity])), cfg)
+        return _finish(memory, pool.take(np.sort(order[:cfg.capacity])))
 
 
 STRATEGY_KINDS = (

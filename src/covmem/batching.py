@@ -13,19 +13,7 @@ import numpy as np
 from .errors import EmptyInput
 from .samples import Batch, SamplePool, require_finite
 
-__all__ = ["mode_and_confidence", "bbdr", "batch_samples"]
-
-
-def mode_and_confidence(prediction) -> tuple[int, float]:
-    """Mode bin of a categorical distribution and its probability.
-
-    Ties resolve to the lowest bin index.
-    """
-    prediction = np.asarray(prediction, dtype=float)
-    if prediction.size == 0:
-        raise EmptyInput("empty prediction vector")
-    mode = int(prediction.argmax())
-    return mode, float(prediction[mode])
+__all__ = ["bbdr", "batch_samples"]
 
 
 def bbdr(pool: SamplePool, predictor) -> SamplePool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInput, LastBatch, NonPositiveBandwidth
 
-__all__ = ["kde", "aggregate_min", "DensityState"]
+__all__ = ["kde", "DensityState"]
 
 _NORM = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -50,16 +50,6 @@ def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
         raise EmptyInput(f"expected a nonempty 2-D distance matrix, got shape {distances.shape}")
     scaled = distances / bandwidth
     return _NORM * np.exp(-0.5 * scaled * scaled).mean(axis=1)
-
-
-def aggregate_min(*density_vectors: np.ndarray) -> np.ndarray:
-    """Elementwise minimum across per-space density vectors."""
-    if not density_vectors:
-        raise EmptyInput("need at least one density vector")
-    out = np.asarray(density_vectors[0], dtype=float)
-    for vec in density_vectors[1:]:
-        out = np.minimum(out, vec)
-    return out
 
 
 class DensityState:

@@ -28,10 +28,8 @@ __all__ = [
     "jsd",
     "jsd_pairwise",
     "jsd_cross",
-    "euclidean_mean_distance",
     "distance_matrix",
     "cross_distance_matrix",
-    "validate_distance_matrix",
 ]
 
 _LOG2 = np.log(2.0)
@@ -165,15 +163,6 @@ def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int = 256) -> np.nd
     return out
 
 
-def euclidean_mean_distance(a, b) -> float:
-    """Euclidean distance between two batch-average feature vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"feature shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def _batch_rows(batches, space: str) -> np.ndarray:
     if not batches:
         raise EmptyInput("no batches to compare")
@@ -226,16 +215,3 @@ def cross_distance_matrix(batches_a, batches_b, space: str = "pred",
         return np.sqrt((diff * diff).sum(axis=-1))
     raise ValueError(f"unknown metric {metric!r}")
 
-
-def validate_distance_matrix(values: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    """Assert symmetry, zero diagonal, and nonnegativity; returns input."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise LengthMismatch(f"expected a square matrix, got shape {values.shape}")
-    if np.any(values < 0):
-        raise ValueError("distance matrix has negative entries")
-    if not np.allclose(values, values.T, atol=atol):
-        raise ValueError("distance matrix is not symmetric")
-    if not np.allclose(np.diagonal(values), 0.0, atol=atol):
-        raise ValueError("distance matrix diagonal is not zero")
-    return values

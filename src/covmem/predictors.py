@@ -17,7 +17,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .errors import EmptyTrainingSet, PredictorDimensionMismatch
-from .samples import Sample, SamplePool
+from .samples import SamplePool
 
 __all__ = [
     "Predictor",
@@ -53,19 +53,15 @@ class Predictor(ABC):
         """Return a new predictor trained on the samples of ``pool``."""
 
     @abstractmethod
+    def predict_many(self, features: np.ndarray) -> np.ndarray:
+        """Distributions over the ``n_bins`` output bins, one row per row of ``features``."""
+
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Distribution over the ``n_bins`` output bins for one input."""
+        return self.predict_many(np.asarray(features, dtype=float)[None, :])[0]
 
-    def predict_many(self, features: np.ndarray) -> np.ndarray:
-        """Row-wise :meth:`predict`; overridden where vectorization pays."""
-        return np.stack([self.predict(f) for f in features])
-
-    def loss(self, sample: Sample) -> float:
-        """Negative log-score of the sample's true bin, in bits."""
-        return -logscore(self.predict(sample.features), sample.output_bin)
-
-    def _uniform(self) -> np.ndarray:
-        return np.full(self.n_bins, 1.0 / self.n_bins)
+    def _uniform(self, n: int) -> np.ndarray:
+        return np.full((n, self.n_bins), 1.0 / self.n_bins)
 
 
 class UniformPredictor(Predictor):
@@ -77,11 +73,8 @@ class UniformPredictor(Predictor):
     def fit(self, pool):
         return self
 
-    def predict(self, features):
-        return self._uniform()
-
     def predict_many(self, features):
-        return np.full((len(features), self.n_bins), 1.0 / self.n_bins)
+        return self._uniform(len(features))
 
 
 class HistogramPredictor(Predictor):
@@ -102,13 +95,10 @@ class HistogramPredictor(Predictor):
         counts = np.bincount(pool.output_bin, minlength=self.n_bins).astype(float)
         return HistogramPredictor(self.n_bins, (counts + 1.0) / (counts.sum() + self.n_bins))
 
-    def predict(self, features):
-        if self._frequencies is None:
-            return self._uniform()
-        return self._frequencies.copy()
-
     def predict_many(self, features):
-        return np.tile(self.predict(None), (len(features), 1))
+        if self._frequencies is None:
+            return self._uniform(len(features))
+        return np.tile(self._frequencies, (len(features), 1))
 
 
 def _class_means(pool: SamplePool, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,13 +149,10 @@ class CentroidPredictor(Predictor):
         centroids, seen = _class_means(pool, self.n_bins)
         return CentroidPredictor(self.n_bins, self.softness, centroids, seen)
 
-    def predict(self, features):
-        return self.predict_many(np.asarray(features, dtype=float)[None, :])[0]
-
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)
         if self._centroids is None:
-            return np.full((len(features), self.n_bins), 1.0 / self.n_bins)
+            return self._uniform(len(features))
         if features.shape[1] != self._centroids.shape[1]:
             raise PredictorDimensionMismatch(
                 f"got {features.shape[1]}-dim features, centroids are "
@@ -216,13 +203,10 @@ class LikelihoodPredictor(Predictor):
             self.n_bins, self.scale, self.background, centroids, seen
         )
 
-    def predict(self, features):
-        return self.predict_many(np.asarray(features, dtype=float)[None, :])[0]
-
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)
         if self._centroids is None:
-            return np.full((len(features), self.n_bins), 1.0 / self.n_bins)
+            return self._uniform(len(features))
         if features.shape[1] != self._centroids.shape[1]:
             raise PredictorDimensionMismatch(
                 f"got {features.shape[1]}-dim features, centroids are "
@@ -259,9 +243,6 @@ class OraclePredictor(Predictor):
 
     def fit(self, pool):
         return self
-
-    def predict(self, features):
-        return self.predict_many(np.asarray(features, dtype=float)[None, :])[0]
 
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)

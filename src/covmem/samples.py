@@ -5,10 +5,13 @@ field, one row per sample.  :class:`Sample` is the row type at the API
 edge, for streams handed to ``select`` and for NDJSON records.
 :meth:`SamplePool.rows` returns :class:`PoolRows`, rows that carry the
 pool they were cut from, so handing them back to
-:meth:`SamplePool.from_samples` costs nothing.
+:meth:`SamplePool.from_samples` costs nothing.  A :class:`Batch` exists
+only inside one coverage ``select`` call and in the memory's reference
+set; the memory itself holds a pool, not batches.
 Categorical distributions are plain 1-D ``numpy`` arrays that sum to one.
-No wrapper class is used; :func:`validate_distribution` checks the
-contract where one is needed.
+No wrapper class is used; :func:`validate_distribution` checks one
+vector, and ``selection.ingest`` checks a chunk's prediction rows
+against the same contract.
 """
 import json
 import math
@@ -233,17 +236,13 @@ class Batch:
     """A group of samples summarised by two categorical distributions.
 
     ``pred_dist`` is the mixture of member predictions, ``out_dist`` the
-    normalized histogram of member output bins.  ``density_pred`` and
-    ``density_out`` are filled in by the selection loop; they start as
-    NaN and are bookkeeping, not part of the batch identity.
+    normalized histogram of member output bins.
     """
 
     sample_ids: np.ndarray
     pred_dist: np.ndarray
     out_dist: np.ndarray
     mean_features: np.ndarray
-    density_pred: float = float("nan")
-    density_out: float = float("nan")
 
     @property
     def size(self) -> int:
@@ -254,16 +253,15 @@ class Batch:
 class ReplayMemory:
     """Bounded sample store a selection strategy maintains.
 
-    ``pool`` holds the members in arrival order.  ``batches`` is the
-    batch view produced by the most recent selection pass; per-sample
-    strategies rebuild it for bookkeeping.  The batches recorded at the
-    last retraining event keep their distributions even after later
-    discards drop some of their members, which is exactly what the
-    coverage comparison needs.
+    ``pool`` holds the members in arrival order.  ``last_train_batches``
+    is the reference set of the coverage strategy's retrain trigger: the
+    batches kept at the last retraining event.  They keep their
+    distributions even after later discards drop some of their members,
+    which is exactly what the coverage comparison needs.  The other
+    strategies retrain unconditionally and leave it empty.
     """
 
     capacity: int
-    batches: list[Batch] = field(default_factory=list)
     pool: SamplePool = field(default_factory=SamplePool.empty)
     last_train_batches: list[Batch] = field(default_factory=list)
 
@@ -284,14 +282,8 @@ class ReplayMemory:
         """
         return self.pool
 
-    def replace_contents(self, batches: list[Batch], pool: SamplePool) -> None:
-        """Hold ``pool``, reordered by arrival, with ``batches`` as its batch view."""
-        if sum(b.size for b in batches) != len(pool):
-            raise LengthMismatch(
-                f"batches cover {sum(b.size for b in batches)} samples, "
-                f"store would hold {len(pool)}"
-            )
-        self.batches = batches
+    def replace_contents(self, pool: SamplePool) -> None:
+        """Hold ``pool``, reordered by arrival, in place of the current members."""
         self.pool = pool.sorted_by_arrival()
 
     def class_counts(self, n_classes: int, by: str = "workload") -> np.ndarray:
@@ -378,21 +370,36 @@ def validate_distribution(probs: np.ndarray, size: int | None = None) -> np.ndar
         raise EmptyInput(f"expected a nonempty 1-D probability vector, got shape {probs.shape}")
     if size is not None and probs.size != size:
         raise LengthMismatch(f"expected {size} bins, got {probs.size}")
-    require_finite(probs, "probability vector")
-    if np.any(probs < 0):
-        raise NegativeProbability(f"negative probability entries: min is {probs.min()}")
-    total = probs.sum()
-    if abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise NonNormalizedPrediction(f"probabilities sum to {total!r}, expected 1 within 1e-9")
+    _check_distribution_rows(probs[None, :], "probability vector")
     return probs
+
+
+def _check_distribution_rows(rows: np.ndarray, what: str) -> None:
+    """Raise unless every row of the 2-D ``rows`` is a finite categorical distribution.
+
+    Entries must be finite (:class:`NonFiniteValue`) and non-negative
+    (:class:`NegativeProbability`), and each row must sum to one within
+    1e-9 (:class:`NonNormalizedPrediction`).
+    """
+    require_finite(rows, what)
+    if np.any(rows < 0):
+        raise NegativeProbability(f"{what} has negative entries: min is {rows.min()}")
+    totals = rows.sum(axis=1)
+    off = np.flatnonzero(np.abs(totals - 1.0) > _NORMALIZATION_TOL)
+    if off.size:
+        raise NonNormalizedPrediction(
+            f"{what} row {off[0]} sums to {float(totals[off[0]])!r}, expected 1 within 1e-9"
+        )
 
 
 def validate_sample(sample: Sample, k_pred: int | None, k_out: int | None) -> Sample:
     """Raise if ``sample`` violates the data-model contract, else return it.
 
     A ``None`` bin count leaves that size or range unchecked; the
-    prediction must be a finite distribution either way.
+    features must be finite and the prediction a finite distribution
+    either way.
     """
+    require_finite(sample.features, "features")
     validate_distribution(sample.prediction, k_pred)
     if k_out is not None and not 0 <= sample.output_bin < k_out:
         raise BinOutOfRange(
@@ -461,8 +468,10 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> l
     Arrival indices are assigned from line order.  Unknown fields are
     ignored; a missing mandatory field raises ``ValueError`` naming the
     offending line.  Every record is validated on the way in: its
-    prediction must be a finite distribution, of ``k_pred`` bins and
-    with ``output_bin`` in ``[0, k_out)`` when those are given.
+    features must be finite (JSON's ``NaN`` and ``Infinity`` literals
+    raise :class:`NonFiniteValue`) and its prediction a finite
+    distribution, of ``k_pred`` bins and with ``output_bin`` in
+    ``[0, k_out)`` when those are given.
     """
     out = []
     with open(path, "r", encoding="utf-8") as fh:

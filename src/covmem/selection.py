@@ -18,21 +18,30 @@ from .batching import batch_samples, bbdr
 from .density import DensityState, kde
 from .distances import cross_distance_matrix, distance_matrix
 from .errors import (
+    BinOutOfRange,
     CapacityTooSmallForOneBatch,
     EmptyCurrentSet,
     EmptyInput,
+    LengthMismatch,
     NegativeTemperature,
     RepeatedArrival,
 )
 from .predictors import with_losses
-from .samples import Batch, ReplayMemory, Sample, SamplePool, StrategyConfig, require_finite
+from .samples import (
+    Batch,
+    ReplayMemory,
+    Sample,
+    SamplePool,
+    StrategyConfig,
+    _check_distribution_rows,
+    require_finite,
+)
 
 __all__ = [
     "DiscardEvent",
     "SelectionOutcome",
     "discard_probabilities",
     "draw_index",
-    "coverage",
     "rci",
     "retrain_decision",
     "select",
@@ -105,18 +114,6 @@ def _min_densities(pairwise, bandwidth: float, pred_metric: str, *batch_lists) -
     return np.minimum(kde(d_pred, bandwidth), kde(d_out, bandwidth))
 
 
-def coverage(batches: list[Batch], bandwidth: float, pred_metric: str = "jsd") -> float:
-    """Total density mass of a batch set: ``sum_b rho(b)``.
-
-    A spread-out set scores lower per batch but covers more distinct
-    regions; coverage is the quantity the discard loop implicitly
-    maximizes for the surviving set.
-    """
-    if not batches:
-        raise EmptyCurrentSet("coverage of an empty batch set is undefined")
-    return float(_min_densities(distance_matrix, bandwidth, pred_metric, batches).sum())
-
-
 def _rci(rho_self: np.ndarray, rho_cross: np.ndarray) -> float:
     gains = np.maximum(rho_self - rho_cross, 0.0)
     return float(gains.sum() / rho_self.sum())
@@ -130,7 +127,7 @@ def rci(current: list[Batch], reference: list[Batch], bandwidth: float,
     against the density the reference set assigns to the same location:
 
         CI  = sum_b max(rho_current(b) - rho_reference(b), 0)
-        RCI = CI / coverage(current)
+        RCI = CI / sum_b rho_current(b)
 
     Only gains count; regions that merely shrank do not cancel regions
     that are newly covered.  The ratio lies in ``[0, 1]``: it is 0 when
@@ -159,24 +156,47 @@ def retrain_decision(current: list[Batch], reference: list[Batch],
     return value >= threshold, value
 
 
-def ingest(memory: ReplayMemory, new_samples: Sequence[Sample], predictor,
-           scored: bool = False) -> SamplePool:
+def ingest(memory: ReplayMemory, new_samples: Sequence[Sample], cfg: StrategyConfig,
+           predictor, scored: bool = False) -> SamplePool:
     """The memory's residents followed by a chunk's arrivals: what a strategy selects from.
 
     The chunk is stacked once (:class:`~covmem.samples.PoolRows` hand
     over their pool), re-predicted by ``predictor`` and, with
-    ``scored``, given losses; with ``predictor=None`` its predictions
-    are kept and must be finite.  The arrivals then follow the
-    residents in arrival order.  An arrival index that repeats one in
-    the chunk or in memory raises :class:`~covmem.errors.RepeatedArrival`.
+    ``scored``, given losses.  The arrivals then follow the residents
+    in arrival order.  This is the boundary every strategy takes input
+    through, so the chunk is checked here, and a chunk that fails a
+    check leaves the memory as it was:
+
+    - features must be finite (:class:`~covmem.errors.NonFiniteValue`);
+    - output bins must lie in ``[0, cfg.k_out)``
+      (:class:`~covmem.errors.BinOutOfRange`);
+    - the predictions kept, re-predicted or given, must have
+      ``cfg.k_pred`` bins (:class:`~covmem.errors.LengthMismatch`);
+    - with ``predictor=None`` the given predictions must be finite
+      distributions (:class:`~covmem.errors.NonFiniteValue`,
+      :class:`~covmem.errors.NegativeProbability`,
+      :class:`~covmem.errors.NonNormalizedPrediction`);
+    - an arrival index that repeats one in the chunk or in memory raises
+      :class:`~covmem.errors.RepeatedArrival`.
     """
     incoming = SamplePool.from_samples(new_samples)
+    if len(incoming):
+        require_finite(incoming.features, "incoming features")
+        bins = incoming.output_bin
+        outside = (bins < 0) | (bins >= cfg.k_out)
+        if outside.any():
+            raise BinOutOfRange(f"incoming output_bin {bins[outside][0]} outside [0, {cfg.k_out})")
     if predictor is None:
-        require_finite(incoming.prediction, "incoming predictions")
+        _check_distribution_rows(incoming.prediction, "incoming predictions")
     else:
         incoming = bbdr(incoming, predictor)
         if scored:
             incoming = with_losses(incoming, predictor)
+    if len(incoming) and incoming.prediction.shape[1] != cfg.k_pred:
+        raise LengthMismatch(
+            f"incoming predictions have {incoming.prediction.shape[1]} bins, "
+            f"k_pred is {cfg.k_pred}"
+        )
     pool = SamplePool.concat([memory.pool, incoming.sorted_by_arrival()])
     arrival = pool.arrival_index
     if not np.all(arrival[1:] > arrival[:-1]):
@@ -203,21 +223,23 @@ def select(
     Parameters
     ----------
     memory : ReplayMemory
-        Mutated in place: afterwards it holds the surviving samples,
-        their batch view, and (on retraining) the new reference batches.
+        Mutated in place: afterwards its pool holds the surviving
+        samples, and on retraining ``last_train_batches`` holds the
+        surviving batches as the new reference set.
     new_samples : sequence of Sample
-        Fresh arrivals, stacked into a :class:`SamplePool` once (see
-        :func:`ingest`); the chunks of :func:`~covmem.workloads.generate`
-        carry their pool and are not stacked at all.  Their predictions
-        are overwritten by ``predictor`` on the way in; in-memory samples
-        keep the predictions they arrived with.  Arrival indices must
-        be new: one already in the chunk or in memory raises
+        Fresh arrivals, stacked into a :class:`SamplePool` once and
+        checked (see :func:`ingest`); the chunks of
+        :func:`~covmem.workloads.generate` carry their pool and are not
+        stacked at all.  Their predictions are overwritten by
+        ``predictor`` on the way in; in-memory samples keep the
+        predictions they arrived with.  Arrival indices must be new: one
+        already in the chunk or in memory raises
         :class:`~covmem.errors.RepeatedArrival`.
     cfg : StrategyConfig
     predictor : Predictor or None
         Black box for ingestion.  ``None`` keeps incoming predictions,
         which is only sensible for pre-scored pools; they must then be
-        finite.
+        finite distributions over ``cfg.k_pred`` bins.
     rng : numpy.random.Generator
         Drives the discard draws.
     pred_metric : {"jsd", "euclidean"}
@@ -230,7 +252,7 @@ def select(
     SelectionOutcome
         Kept sample ids, the discard trace, and the retrain decision.
     """
-    pool = ingest(memory, new_samples, predictor).sorted_by_arrival()
+    pool = ingest(memory, new_samples, cfg, predictor).sorted_by_arrival()
     if not len(pool):
         raise EmptyInput("nothing to select from: memory and new samples are both empty")
 
@@ -262,10 +284,6 @@ def select(
         state.remove_batch(j)
         step += 1
 
-    for batch, rho_p, rho_o in zip(alive, state.rho_pred, state.rho_out):
-        batch.density_pred = float(rho_p)
-        batch.density_out = float(rho_o)
-
     # the RCI of the survivors, as rci(alive, reference) computes it, but
     # with the self-densities read off the matrices the loop already holds
     reference = memory.last_train_batches
@@ -279,7 +297,7 @@ def select(
     retrain = rci_value >= cfg.threshold
 
     kept_ids = np.sort(np.concatenate([batch.sample_ids for batch in alive]))
-    memory.replace_contents(alive, pool.take(np.searchsorted(pool.arrival_index, kept_ids)))
+    memory.replace_contents(pool.take(np.searchsorted(pool.arrival_index, kept_ids)))
     if retrain:
         memory.last_train_batches = list(alive)
     return SelectionOutcome(kept_ids, trace, retrain, rci_value)

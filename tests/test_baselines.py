@@ -1,12 +1,15 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covmem import (
     CentroidPredictor,
     LarsStrategy,
     LikelihoodPredictor,
+    OraclePredictor,
     PriorityStrategy,
     QbcStrategy,
     RandomStrategy,
@@ -21,9 +24,13 @@ from covmem import (
 )
 from covmem.baselines import STRATEGY_KINDS
 from covmem.errors import (
+    BinOutOfRange,
     EmptyCommittee,
+    LengthMismatch,
     MissingScores,
+    NegativeProbability,
     NonFiniteValue,
+    NonNormalizedPrediction,
     NotClassification,
     RepeatedArrival,
 )
@@ -251,8 +258,9 @@ class TestQbc:
         strategy.on_retrain(SamplePool.from_samples(train), rng)
 
         cfg = StrategyConfig(capacity=2, batch_size=2, k_pred=2, k_out=2)
-        on_centroid = [sample(200, features=[0.0, 0.0]), sample(201, features=[4.0, 0.0])]
-        midpoint = [sample(202, features=[2.0, 0.0]), sample(203, features=[2.1, 0.0])]
+        on_centroid = [sample(200, k=2, features=[0.0, 0.0]),
+                       sample(201, k=2, features=[4.0, 0.0])]
+        midpoint = [sample(202, k=2, features=[2.0, 0.0]), sample(203, k=2, features=[2.1, 0.0])]
         _, outcome = run(strategy, on_centroid + midpoint, cfg)
         assert outcome.kept_ids.tolist() == [202, 203]
 
@@ -301,7 +309,8 @@ class TestFactory:
         strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
         memory, outcome = run(strategy, pool, cfg)
         assert 0 < memory.sample_count <= 25
-        assert memory.last_train_batches
+        # only the coverage strategies keep reference batches for a retrain trigger
+        assert bool(memory.last_train_batches) == kind.startswith("memento")
         kept = set(memory.sorted_samples().arrival_index.tolist())
         assert kept == set(outcome.kept_ids.tolist())
 
@@ -314,6 +323,54 @@ class TestFactory:
         strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
         with pytest.raises(NonFiniteValue):
             run(strategy, pool, cfg)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @given(st.one_of(st.integers(-5, -1), st.integers(3, 8)), st.integers(0, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_every_kind_rejects_an_out_of_range_bin(self, kind, bad_bin, row):
+        chunk = [sample(i, loss=1.0) for i in range(4, 8)]
+        chunk[row] = sample(4 + row, output_bin=bad_bin, loss=1.0)
+        assert_chunk_rejected(kind, chunk, BinOutOfRange)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @given(st.integers(1, 6).filter(lambda k: k != 3), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_every_kind_rejects_a_prediction_width_other_than_k_pred(self, kind, width,
+                                                                       repredict):
+        chunk = [sample(i, k=width, loss=1.0) for i in range(4, 8)]
+        predictor = UniformPredictor(width) if repredict else None
+        assert_chunk_rejected(kind, chunk, LengthMismatch, predictor)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3),
+           st.integers(0, 1), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_every_kind_rejects_non_finite_features(self, kind, bad, row, col, oracle):
+        features = np.array([float(4 + row), 0.0])
+        features[col] = bad
+        chunk = [sample(i, loss=1.0) for i in range(4, 8)]
+        chunk[row] = sample(4 + row, loss=1.0, features=features)
+        predictor = OraclePredictor(np.array([[0.0, 0.0], [5.0, 0.0], [10.0, 0.0]])) \
+            if oracle else None
+        assert_chunk_rejected(kind, chunk, NonFiniteValue, predictor)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @given(st.floats(0.01, 2.0), st.integers(0, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_every_kind_rejects_a_negative_kept_prediction(self, kind, excess, row):
+        chunk = [sample(i, loss=1.0) for i in range(4, 8)]
+        chunk[row] = Sample(features=np.zeros(2), output_bin=0, arrival_index=4 + row,
+                            loss=1.0, prediction=np.array([1.0 + excess, -excess, 0.0]))
+        assert_chunk_rejected(kind, chunk, NegativeProbability)
+
+    @pytest.mark.parametrize("kind", STRATEGY_KINDS)
+    @given(st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 10.0)), st.integers(0, 3))
+    @settings(max_examples=10, deadline=None)
+    def test_every_kind_rejects_an_unnormalised_kept_prediction(self, kind, total, row):
+        chunk = [sample(i, loss=1.0) for i in range(4, 8)]
+        chunk[row] = Sample(features=np.zeros(2), output_bin=0, arrival_index=4 + row,
+                            loss=1.0, prediction=np.full(3, total / 3))
+        assert_chunk_rejected(kind, chunk, NonNormalizedPrediction)
 
     @pytest.mark.parametrize("kind", STRATEGY_KINDS)
     def test_every_kind_rejects_a_chunk_fed_twice(self, kind):
@@ -342,6 +399,17 @@ class TestFactory:
         memory, outcome = run(strategy, [sample(i, loss=1.0) for i in (5, 3, 1)], cfg,
                               memory=memory)
         assert outcome.kept_ids.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def assert_chunk_rejected(kind, chunk, error, predictor=None):
+    """``chunk`` raises ``error`` at ingestion and leaves the memory's pool as it was."""
+    cfg = StrategyConfig(capacity=8, batch_size=2, k_pred=3, k_out=3)
+    strategy = make_strategy(kind, base_predictor=UniformPredictor(3))
+    memory, _ = run(strategy, [sample(i, output_bin=i % 3, loss=1.0) for i in range(4)], cfg)
+    before = memory.pool
+    with pytest.raises(error):
+        run(strategy, chunk, cfg, predictor=predictor, memory=memory)
+    assert memory.pool is before
 
 
 # sha256 over the kept_ids of every select call in kept_id_digest(), one

@@ -8,7 +8,6 @@ from covmem import (
     batch_samples,
     bbdr,
     mixture,
-    mode_and_confidence,
 )
 from covmem.errors import EmptyInput, NonFiniteValue
 
@@ -20,19 +19,6 @@ def sample(i, output_bin, prediction, features=None):
         prediction=np.asarray(prediction, dtype=float),
         arrival_index=i,
     )
-
-
-class TestModeAndConfidence:
-    def test_plain(self):
-        assert mode_and_confidence([0.2, 0.7, 0.1]) == (1, pytest.approx(0.7))
-
-    def test_tie_goes_to_lowest_bin(self):
-        mode, conf = mode_and_confidence([0.4, 0.4, 0.2])
-        assert mode == 0 and conf == pytest.approx(0.4)
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            mode_and_confidence([])
 
 
 class TestBbdr:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covmem import DensityState, aggregate_min, kde
+from covmem import DensityState, kde
 from covmem.errors import EmptyInput, LastBatch, NonPositiveBandwidth
 
 PEAK = 0.3989422804014327            # 1 / sqrt(2 pi)
@@ -39,19 +39,6 @@ class TestKde:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             kde(np.zeros((0, 0)), bandwidth=0.1)
-
-
-class TestAggregateMin:
-    def test_elementwise(self):
-        got = aggregate_min(np.array([0.3, 0.1]), np.array([0.2, 0.4]))
-        np.testing.assert_allclose(got, [0.2, 0.1])
-
-    def test_single_vector(self):
-        np.testing.assert_allclose(aggregate_min(np.array([0.5])), [0.5])
-
-    def test_empty(self):
-        with pytest.raises(EmptyInput):
-            aggregate_min()
 
 
 def random_state(rng, n):

@@ -239,7 +239,8 @@ class TestWithLosses:
         p = CentroidPredictor(2).fit(pool)
         scored = with_losses(pool, p)
         for s, loss in zip(train, scored.loss):
-            assert loss == pytest.approx(p.loss(s), abs=1e-12)
+            assert loss == pytest.approx(-logscore(p.predict(s.features), s.output_bin),
+                                         abs=1e-12)
         assert np.isnan(pool.loss).all()  # original untouched
 
     def test_empty_input(self):

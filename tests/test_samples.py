@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from covmem import (
-    Batch,
     ReplayMemory,
     Sample,
     SamplePool,
@@ -109,13 +108,7 @@ class TestReplayMemory:
     def test_counts_and_replacement(self):
         mem = ReplayMemory(capacity=10)
         samples = [make_sample(i, output_bin=i % 3) for i in range(4)]
-        batch = Batch(
-            sample_ids=np.array([s.arrival_index for s in samples]),
-            pred_dist=np.array([1.0, 0.0, 0.0]),
-            out_dist=np.array([1.0, 0.0, 0.0]),
-            mean_features=np.zeros(2),
-        )
-        mem.replace_contents([batch], SamplePool.from_samples(samples))
+        mem.replace_contents(SamplePool.from_samples(samples))
         assert mem.sample_count == 4
         assert mem.sorted_samples().arrival_index.tolist() == [0, 1, 2, 3]
         np.testing.assert_array_equal(mem.class_counts(3, by="output_bin"), [2, 1, 1])
@@ -127,11 +120,6 @@ class TestReplayMemory:
         with pytest.raises(ValueError, match="workload"):
             mem.class_counts(3, by=by)
 
-    def test_replace_contents_checks_sizes(self):
-        mem = ReplayMemory(capacity=10)
-        with pytest.raises(LengthMismatch):
-            mem.replace_contents([], SamplePool.from_samples([make_sample(0)]))
-
     def test_noise_fraction(self):
         mem = ReplayMemory(capacity=10)
         mem.pool = SamplePool.from_samples([make_sample(0), make_sample(1, noise=True)])
@@ -140,7 +128,7 @@ class TestReplayMemory:
 
     def test_sorted_samples_is_the_pool(self):
         mem = ReplayMemory(capacity=10)
-        mem.replace_contents([], SamplePool.empty())
+        mem.replace_contents(SamplePool.empty())
         assert mem.sorted_samples() is mem.pool
 
 
@@ -302,6 +290,18 @@ class TestRecords:
             f'"prediction": [{bad}, 1.0], "stalled": 0}}\n'
         )
         with pytest.raises(NonFiniteValue, match="line 1"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_features_rejected(self, tmp_path, bad):
+        path = tmp_path / "records.ndjson"
+        path.write_text(
+            '{"features": [0.0], "output_bin": 0, "raw_output": 0.0, '
+            '"prediction": [1.0], "stalled": 0}\n'
+            f'{{"features": [{bad}, 1.0], "output_bin": 0, "raw_output": 0.0, '
+            '"prediction": [1.0], "stalled": 0}\n'
+        )
+        with pytest.raises(NonFiniteValue, match="line 2"):
             read_samples(path)
 
     def test_blank_lines_are_skipped(self, tmp_path):

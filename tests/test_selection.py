@@ -11,7 +11,6 @@ from covmem import (
     StrategyConfig,
     UniformPredictor,
     batch_samples,
-    coverage,
     discard_probabilities,
     draw_index,
     rci,
@@ -140,18 +139,6 @@ class TestRci:
         assert not hold and same == 0.0
 
 
-class TestCoverage:
-    def test_spreading_out_raises_per_set_distinctness(self):
-        clumped = batches_from([sample(i, 0, [1.0, 0.0, 0.0, 0.0]) for i in range(4)])
-        spread = batches_from([sample(i, i, np.eye(4)[i]) for i in range(4)])
-        # distinct regions each keep near-peak density only for themselves
-        assert coverage(spread, bandwidth=0.1) < coverage(clumped, bandwidth=0.1)
-
-    def test_empty(self):
-        with pytest.raises(EmptyCurrentSet):
-            coverage([], bandwidth=0.1)
-
-
 class TestSelect:
     def config(self, **kwargs):
         base = dict(capacity=8, batch_size=1, k_pred=4, k_out=4)
@@ -234,9 +221,6 @@ class TestSelect:
         memory, outcome = self.run(pool, self.config(capacity=10))
         assert memory.sample_count == len(outcome.kept_ids) == 10
         assert set(memory.sorted_samples().arrival_index.tolist()) == set(outcome.kept_ids.tolist())
-        for batch in memory.batches:
-            assert np.isfinite(batch.density_pred)
-            assert np.isfinite(batch.density_out)
 
     def test_first_call_requests_retraining(self):
         pool = [sample(i, i % 4, np.eye(4)[i % 4]) for i in range(8)]
@@ -332,8 +316,10 @@ class TestSelect:
                 arrival += 1
             reference_before = list(memory.last_train_batches)
             outcome = select(memory, chunk, cfg, None, rng, pred_metric=pred_metric)
-            assert outcome.rci == rci(memory.batches, reference_before, cfg.bandwidth,
-                                      pred_metric)
+            # Discards take whole batches, so batching the survivors again
+            # cuts every output run at the same boundaries: the kept batches.
+            kept = batch_samples(memory.sorted_samples(), cfg.batch_size, cfg.k_out)
+            assert outcome.rci == rci(kept, reference_before, cfg.bandwidth, pred_metric)
             assert outcome.retrain == (outcome.rci >= cfg.threshold)
 
     def test_empty_everything(self):
