@@ -62,7 +62,10 @@ class DensityState:
     Parameters
     ----------
     distances_pred, distances_out : ndarray
-        Square distance matrices over the same batch set.
+        Square distance matrices over the same batch set.  Both must be
+        exactly symmetric, as every matrix
+        :func:`~covmem.distances.distance_matrix` builds is: a removal
+        reads the removed batch's row where the update needs its column.
     bandwidth : float
         Shared kernel width.
     """
@@ -82,7 +85,7 @@ class DensityState:
         self._d_pred = distances_pred
         self._d_out = distances_out
         self.bandwidth = float(bandwidth)
-        self._active = np.arange(n)
+        self._set_active(np.arange(n))
         self.rho_pred = kde(distances_pred, bandwidth)
         self.rho_out = kde(distances_out, bandwidth)
 
@@ -92,15 +95,21 @@ class DensityState:
 
     @property
     def active_indices(self) -> np.ndarray:
-        """Original positions of the still-active batches, in order."""
-        return self._active.copy()
+        """Original positions of the still-active batches, in order (read-only)."""
+        return self._active
+
+    def _set_active(self, active: np.ndarray) -> None:
+        # handed out without a copy, so frozen; a removal replaces it
+        active.flags.writeable = False
+        self._active = active
 
     @property
     def rho_min(self) -> np.ndarray:
         return np.minimum(self.rho_pred, self.rho_out)
 
     def _kernel_column(self, matrix: np.ndarray, j: int) -> np.ndarray:
-        col = matrix[self._active, self._active[j]] / self.bandwidth
+        # the contiguous row equals the strided column of a symmetric matrix
+        col = matrix[self._active[j]][self._active] / self.bandwidth
         return _NORM * np.exp(-0.5 * col * col)
 
     def remove_batch(self, j: int) -> None:
@@ -120,7 +129,7 @@ class DensityState:
         keep = np.arange(n) != j
         self.rho_pred = (n * self.rho_pred[keep] - k_pred[keep]) / (n - 1)
         self.rho_out = (n * self.rho_out[keep] - k_out[keep]) / (n - 1)
-        self._active = self._active[keep]
+        self._set_active(self._active[keep])
 
     def recompute(self) -> tuple[np.ndarray, np.ndarray]:
         """From-scratch densities of the active set over the held matrices.

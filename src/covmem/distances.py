@@ -13,6 +13,17 @@ into the lower triangle, so every pair is evaluated once; the identity
 is symmetric in its arguments bit for bit, so the mirror changes no
 value.
 
+Every matrix kernel, JSD and euclidean, square and rectangular, runs
+one row-block loop.  A block holds as many rows as fit ``_SCRATCH``
+(65,536) float64 elements at ``n_cols * k`` elements per row, at least
+one row, and is computed with ``out=`` ufuncs into scratch arrays
+allocated once per call and reused by every block.  Each scratch array
+is 512 KB, so a block's mixture, logarithms and products stay in a
+2 MB L2 cache instead of streaming ``block * n * k`` temporaries through
+memory.  Each pair sees the same elementwise operations and the same
+length-``k`` reduction whatever the block size, so the results do not
+depend on it bit for bit.
+
 Point masses need no entropy pass at all: two point masses are at
 distance exactly 0 in the same bin and exactly 1 in different bins.
 When every input row is a point mass (one nonzero entry, equal to 1.0),
@@ -33,6 +44,9 @@ __all__ = [
 ]
 
 _LOG2 = np.log(2.0)
+# float64 elements per scratch array of a block kernel: 512 KB, so a
+# block's working set stays in a 2 MB L2 cache
+_SCRATCH = 1 << 16
 
 
 def _check_pair(p, q):
@@ -86,10 +100,19 @@ def jsd(p, q) -> float:
     return float(np.sqrt(max(divergence, 0.0)))
 
 
+def _plogp_entropy(rows: np.ndarray, logs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits along the last axis, with 0 log 0 = 0.
+
+    ``logs`` is scratch of the same shape as ``rows`` and must hold zeros
+    on entry: the logarithm leaves it untouched where ``rows`` is zero.
+    """
+    np.log(rows, out=logs, where=rows > 0)
+    logs *= rows
+    return -logs.sum(axis=-1) / _LOG2
+
+
 def _entropy_rows(rows: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis, with 0 log 0 = 0."""
-    safe = np.where(rows > 0, rows, 1.0)
-    return -(safe * np.log(safe)).sum(axis=-1) / _LOG2
+    return _plogp_entropy(rows, np.zeros_like(rows))
 
 
 def _point_mass_bins(rows: np.ndarray):
@@ -102,15 +125,66 @@ def _point_mass_bins(rows: np.ndarray):
     return None
 
 
-def jsd_pairwise(rows: np.ndarray, block: int = 256) -> np.ndarray:
+def _blocked(kernel, n_rows: int, n_cols: int, k: int, block, n_scratch: int,
+             upper: bool) -> np.ndarray:
+    """Fill an ``(n_rows, n_cols)`` matrix one row block at a time.
+
+    ``kernel(rows, cols, *scratch)`` returns the block of rows ``rows``
+    (a slice) against columns ``cols``, using ``n_scratch`` float arrays
+    of shape ``(block rows, block columns, k)`` as its working space.
+    The scratch is allocated once and reused by every block.  With
+    ``upper`` the matrix is square and symmetric: each block is computed
+    from its own first row onward and mirrored into the lower triangle,
+    and the diagonal is set to zero.
+    """
+    step = block or max(1, _SCRATCH // max(1, n_cols * k))
+    flat = [np.empty(min(step, n_rows) * n_cols * k) for _ in range(n_scratch)]
+    out = np.empty((n_rows, n_cols))
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        lo = start if upper else 0
+        shape = (stop - start, n_cols - lo, k)
+        size = shape[0] * shape[1] * k
+        scratch = [buf[:size].reshape(shape) for buf in flat]
+        out[start:stop, lo:] = kernel(slice(start, stop), slice(lo, n_cols), *scratch)
+        if upper:
+            out[stop:, start:stop] = out[start:stop, stop:].T
+    if upper:
+        np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _jsd_kernel(rows_a, rows_b, ent_a, ent_b):
+    """Block kernel of square-root JSD through the entropy identity."""
+    def kernel(rows, cols, mix, logs):
+        np.add(rows_a[rows, None, :], rows_b[None, cols, :], out=mix)
+        mix *= 0.5
+        logs.fill(0.0)
+        div = _plogp_entropy(mix, logs) - 0.5 * (ent_a[rows, None] + ent_b[None, cols])
+        return np.sqrt(np.maximum(div, 0.0))
+    return kernel
+
+
+def _euclidean_kernel(rows_a, rows_b):
+    """Block kernel of the euclidean distance."""
+    def kernel(rows, cols, diff):
+        np.subtract(rows_a[rows, None, :], rows_b[None, cols, :], out=diff)
+        diff *= diff
+        return np.sqrt(diff.sum(axis=-1))
+    return kernel
+
+
+def jsd_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
     """All-pairs Jensen-Shannon distances for stacked distributions.
 
     Parameters
     ----------
     rows : ndarray
         Shape ``(n, k)``, one distribution per row.
-    block : int
-        Row-block size bounding the ``block * n * k`` scratch space.
+    block : int or None
+        Rows per block.  ``None`` derives it from the scratch budget,
+        ``max(1, 65536 // (n * k))``, so the two ``block * n * k`` float
+        scratch arrays stay in cache; the results do not depend on it.
 
     Returns
     -------
@@ -123,23 +197,17 @@ def jsd_pairwise(rows: np.ndarray, block: int = 256) -> np.ndarray:
     bins = _point_mass_bins(rows)
     if bins is not None:
         return (bins[:, None] != bins[None, :]).astype(float)
-    n = rows.shape[0]
+    n, k = rows.shape
     ent = _entropy_rows(rows)
-    out = np.empty((n, n))
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        mix = 0.5 * (rows[start:stop, None, :] + rows[None, start:, :])
-        div = _entropy_rows(mix) - 0.5 * (ent[start:stop, None] + ent[None, start:])
-        out[start:stop, start:] = np.sqrt(np.maximum(div, 0.0))
-        out[stop:, start:stop] = out[start:stop, stop:].T
-    np.fill_diagonal(out, 0.0)
-    return out
+    return _blocked(_jsd_kernel(rows, rows, ent, ent), n, n, k, block, 2, upper=True)
 
 
-def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int = 256) -> np.ndarray:
+def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None = None) -> np.ndarray:
     """Jensen-Shannon distances between two stacks of distributions.
 
     Returns the ``(len(rows_a), len(rows_b))`` rectangular matrix.
+    ``block`` is the number of ``rows_a`` rows per block, derived from
+    the scratch budget as in :func:`jsd_pairwise` when ``None``.
     """
     rows_a = np.asarray(rows_a, dtype=float)
     rows_b = np.asarray(rows_b, dtype=float)
@@ -152,15 +220,19 @@ def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int = 256) -> np.nd
     bins_a, bins_b = _point_mass_bins(rows_a), _point_mass_bins(rows_b)
     if bins_a is not None and bins_b is not None:
         return (bins_a[:, None] != bins_b[None, :]).astype(float)
-    ent_a = _entropy_rows(rows_a)
-    ent_b = _entropy_rows(rows_b)
-    out = np.empty((rows_a.shape[0], rows_b.shape[0]))
-    for start in range(0, rows_a.shape[0], block):
-        stop = min(start + block, rows_a.shape[0])
-        mix = 0.5 * (rows_a[start:stop, None, :] + rows_b[None, :, :])
-        div = _entropy_rows(mix) - 0.5 * (ent_a[start:stop, None] + ent_b[None, :])
-        out[start:stop] = np.sqrt(np.maximum(div, 0.0))
-    return out
+    kernel = _jsd_kernel(rows_a, rows_b, _entropy_rows(rows_a), _entropy_rows(rows_b))
+    return _blocked(kernel, rows_a.shape[0], rows_b.shape[0], rows_a.shape[1], block, 2,
+                    upper=False)
+
+
+def _euclidean_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
+    n, d = rows.shape
+    return _blocked(_euclidean_kernel(rows, rows), n, n, d, block, 1, upper=True)
+
+
+def _euclidean_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None = None) -> np.ndarray:
+    return _blocked(_euclidean_kernel(rows_a, rows_b), rows_a.shape[0], rows_b.shape[0],
+                    rows_a.shape[1], block, 1, upper=False)
 
 
 def _batch_rows(batches, space: str) -> np.ndarray:
@@ -196,10 +268,7 @@ def distance_matrix(batches, space: str = "pred", metric: str = "jsd") -> np.nda
     if metric == "jsd":
         return jsd_pairwise(rows)
     if metric == "euclidean":
-        diff = rows[:, None, :] - rows[None, :, :]
-        out = np.sqrt((diff * diff).sum(axis=-1))
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _euclidean_pairwise(rows)
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -211,7 +280,6 @@ def cross_distance_matrix(batches_a, batches_b, space: str = "pred",
     if metric == "jsd":
         return jsd_cross(rows_a, rows_b)
     if metric == "euclidean":
-        diff = rows_a[:, None, :] - rows_b[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+        return _euclidean_cross(rows_a, rows_b)
     raise ValueError(f"unknown metric {metric!r}")
 

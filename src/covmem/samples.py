@@ -170,7 +170,11 @@ class SamplePool:
                       for f in fields(cls)})
 
     def take(self, idx) -> "SamplePool":
-        """Rows at positions ``idx``, in that order."""
+        """Rows at positions ``idx`` (a slice, an index array or a list of
+        integer positions), in that order."""
+        if isinstance(idx, list):
+            # converted once here, not once per column
+            idx = np.array(idx, dtype=np.intp)
         return SamplePool(**{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
     def with_columns(self, **columns) -> "SamplePool":

@@ -78,6 +78,7 @@ class TestDensityState:
         state.remove_batch(0)
         np.testing.assert_array_equal(state.active_indices, [1, 3, 4])
         assert state.count == 3
+        assert not state.active_indices.flags.writeable  # handed out without a copy
 
     def test_rho_min_is_the_elementwise_min(self):
         rng = np.random.default_rng(4)

@@ -4,6 +4,8 @@ Reference values were computed independently (scipy's base-2
 ``jensenshannon`` plus hand-evaluated KL sums) and frozen here, so the
 implementation is compared against numbers it did not produce.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from covmem import (
     jsd_pairwise,
     kl_divergence,
 )
+from covmem.distances import _SCRATCH, _euclidean_cross, _euclidean_pairwise
 from covmem.errors import EmptyInput, LengthMismatch, UndefinedDivergence
 
 def assert_distance_matrix(mat):
@@ -98,9 +101,7 @@ class TestJSDMatrixPaths:
     def test_blocking_does_not_change_results(self):
         rng = np.random.default_rng(6)
         rows = rng.dirichlet(np.ones(4), size=40)
-        np.testing.assert_allclose(
-            jsd_pairwise(rows, block=7), jsd_pairwise(rows, block=1000), atol=1e-14
-        )
+        assert np.array_equal(jsd_pairwise(rows, block=7), jsd_pairwise(rows, block=1000))
 
     def test_cross_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -194,6 +195,51 @@ class TestHalfMatrixAndPointMassPaths:
     def test_scaled_one_hot_is_not_a_point_mass(self):
         rows = np.array([[2.0, 0.0], [0.0, 2.0]])
         assert np.array_equal(jsd_pairwise(rows), reference_jsd_pairwise(rows))
+
+
+class TestCacheSizedBlocks:
+    """The budget-derived block size gives exactly the single-block numbers."""
+
+    @given(st.integers(300, 700), st.integers(1, 120), st.floats(0.0, 0.5),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_default_block_equals_one_block(self, n, m, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(21) * 0.7, size=n)
+        rows[rng.random(rows.shape) < zero_share] = 0.0  # sparse rows
+        rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1e-300)
+        other = rng.dirichlet(np.ones(21), size=m)
+        assert _SCRATCH // (n * 21) < n  # several blocks
+        assert np.array_equal(jsd_pairwise(rows), jsd_pairwise(rows, block=n))
+        assert np.array_equal(jsd_cross(rows, other), jsd_cross(rows, other, block=n))
+        assert np.array_equal(jsd_cross(other, rows), jsd_cross(other, rows, block=m))
+        features = rng.normal(size=(n, 21))
+        assert np.array_equal(_euclidean_pairwise(features),
+                              _euclidean_pairwise(features, block=n))
+        assert np.array_equal(_euclidean_cross(features, features[:m]),
+                              _euclidean_cross(features, features[:m], block=n))
+
+    def test_zero_width_features_are_at_distance_zero(self):
+        features = np.zeros((5, 0))
+        assert np.array_equal(_euclidean_pairwise(features), np.zeros((5, 5)))
+        assert np.array_equal(_euclidean_cross(features, features[:2]), np.zeros((5, 2)))
+
+    def test_scratch_stays_within_budget(self):
+        """Peak allocation is the output plus a few scratch budgets, at any n."""
+        n, k = 2000, 21
+        rng = np.random.default_rng(11)
+        rows = rng.dirichlet(np.ones(k) * 0.7, size=n)
+        other = rng.dirichlet(np.ones(k) * 0.7, size=n)
+        bound = 8 * n * n + 4 * 8 * _SCRATCH
+        for call in (lambda: jsd_pairwise(rows), lambda: jsd_cross(rows, other)):
+            tracemalloc.start()
+            try:
+                out = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (n, n)
+            assert peak < bound, f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB"
 
 
 def dirichlet_rows(k, n):

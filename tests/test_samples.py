@@ -170,6 +170,18 @@ class TestSamplePool:
             assert type(b.output_bin) is int and type(b.stalled) is bool
 
     @given(sample_lists(), st.data())
+    def test_take_list_equals_take_array(self, samples, data):
+        """A list index is taken as integer positions, column for column."""
+        pool = SamplePool.from_samples(samples)
+        picked = data.draw(st.lists(st.integers(0, max(len(samples) - 1, 0)),
+                                    max_size=2 * len(samples) if samples else 0))
+        by_list, by_array = pool.take(picked), pool.take(np.array(picked, dtype=np.intp))
+        for f in fields(SamplePool):
+            got, want = getattr(by_list, f.name), getattr(by_array, f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @given(sample_lists(), st.data())
     def test_take_and_concat_keep_arrival_order(self, samples, data):
         pool = SamplePool.from_samples(samples)
         ids = [s.arrival_index for s in samples]
