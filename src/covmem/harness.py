@@ -95,6 +95,10 @@ class RunConfig:
             raise ConfigError(f"retrain must be 'strategy' or 'every', got {self.retrain!r}")
         if self.retrain == "every" and self.retrain_every < 1:
             raise ConfigError(f"retrain_every must be >= 1, got {self.retrain_every}")
+        for name in ("iterations", "samples_per_iteration", "feature_dim", "eval_per_class"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.input is not None and (self.k_pred is None or self.k_out is None):
             raise ConfigError("file-based runs must set k_pred and k_out")
 

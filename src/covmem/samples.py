@@ -2,20 +2,23 @@
 
 A :class:`SamplePool` is the working representation: one array per
 field, one row per sample.  :class:`Sample` is the row type at the API
-edge, for streams handed to ``select`` and for NDJSON records.
-:meth:`SamplePool.rows` returns :class:`PoolRows`, rows that carry the
-pool they were cut from, so handing them back to
-:meth:`SamplePool.from_samples` costs nothing.  A :class:`Batch` exists
-only inside one coverage ``select`` call and in the memory's reference
-set; the memory itself holds a pool, not batches.
+edge, for streams handed to ``select`` and for NDJSON records: an
+immutable named tuple, compared and hashed by identity.
+:meth:`SamplePool.rows` builds the rows without running Python code per
+row and returns :class:`PoolRows`, rows that carry the pool they were
+cut from, so handing them back to :meth:`SamplePool.from_samples` costs
+nothing.  A :class:`Batch` exists only inside one coverage ``select``
+call and in the memory's reference set; the memory itself holds a pool,
+not batches.
 Categorical distributions are plain 1-D ``numpy`` arrays that sum to one.
 No wrapper class is used; :func:`validate_distribution` checks one
 vector, and ``selection.ingest`` checks a chunk's prediction rows
 against the same contract.
 """
 import json
-import math
 from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +50,13 @@ __all__ = [
 _NORMALIZATION_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Sample:
+class Sample(NamedTuple):
     """One observed instance flowing through the stream.
+
+    An immutable named tuple: assigning a field raises
+    ``AttributeError``.  Two rows are equal only if they are the same
+    object, and a row hashes by identity, so equal-looking rows stay
+    distinct and any row can be a dict key.
 
     Attributes
     ----------
@@ -86,6 +93,16 @@ class Sample:
     stalled: bool = False
     workload: int = -1
     noise: bool = False
+
+    # Identity, not the tuple's field-by-field comparison, which would
+    # compare the feature arrays elementwise.
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+
+# Builds a Sample from one tuple of field values in C: no Python frame per row.
+_new_row = partial(tuple.__new__, Sample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,21 +211,22 @@ class SamplePool:
 
         ``features`` and ``prediction`` of each row are views into the
         pool's columns, and the rows keep the pool itself (see
-        :class:`PoolRows`).
+        :class:`PoolRows`).  Each row is built in C from the zipped
+        columns, with no Python frame per row.
         """
-        losses = [None if math.isnan(loss) else loss for loss in self.loss.tolist()]
-        rows = PoolRows(map(
-            Sample,
+        losses = self.loss.astype(object)
+        losses[np.isnan(self.loss)] = None
+        rows = PoolRows(map(_new_row, zip(
             self.features,
             self.output_bin.tolist(),
             self.prediction,
             self.arrival_index.tolist(),
             self.raw_output.tolist(),
-            losses,
+            losses.tolist(),
             self.stalled.tolist(),
             self.workload.tolist(),
             self.noise.tolist(),
-        ))
+        )))
         rows.pool = self
         return rows
 
@@ -219,7 +237,9 @@ class PoolRows(tuple):
     Built by :meth:`SamplePool.rows` only; ``pool`` holds exactly the
     columns that stacking the rows would give, so
     :meth:`SamplePool.from_samples` returns it instead of stacking again.
-    Slicing or copying into a list gives plain rows that stack as usual.
+    That shortcut is sound because neither the tuple nor any row's
+    fields can be reassigned after they are built.  Slicing or copying
+    into a list gives plain rows that stack as usual.
     """
 
     pool: SamplePool

@@ -17,7 +17,6 @@ reconstruct stream position.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import BadFraction, BadSchedule
 from .samples import PoolRows, SamplePool
@@ -332,6 +331,10 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     """
     if not 0.0 <= fraction <= 1.0:
         raise BadFraction(f"noise fraction must lie in [0, 1], got {fraction}")
+    # Imported here, not at module level: scipy.spatial is most of the
+    # cost of importing covmem, and only noise injection needs it.
+    from scipy.spatial.distance import pdist
+
     rng = np.random.default_rng([seed, 3])
     half = 1.0
     if spec.n_classes > 1:

@@ -79,6 +79,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", [
+        "iterations", "samples_per_iteration", "feature_dim", "eval_per_class",
+    ])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_run_shapes_below_one(self, field, value):
+        kwargs = dict(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns")
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**kwargs)
+
 
 class TestParseConfig:
     def write(self, tmp_path, text):
@@ -117,6 +127,12 @@ class TestParseConfig:
     def test_bad_value_type(self, tmp_path):
         path = self.write(tmp_path, "strategy = memento\ncapacity = lots\nbatch_size = 4\n")
         with pytest.raises(ConfigError, match="capacity"):
+            parse_config(path)
+
+    def test_run_shape_below_one_fails_at_parse(self, tmp_path):
+        path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
+                                    "capacity = 8\nbatch_size = 4\niterations = 0\n")
+        with pytest.raises(ConfigError, match="iterations"):
             parse_config(path)
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):

@@ -132,6 +132,44 @@ class TestReplayMemory:
         assert mem.sorted_samples() is mem.pool
 
 
+class TestSampleRow:
+    """The row contract: immutable fields, identity equality, keyword defaults."""
+
+    @pytest.mark.parametrize("name", [
+        "features", "output_bin", "prediction", "arrival_index", "raw_output",
+        "loss", "stalled", "workload", "noise",
+    ])
+    def test_fields_cannot_be_assigned(self, name):
+        s = make_sample()
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+
+    def test_equal_fields_are_distinct_rows(self):
+        a, b = make_sample(), make_sample()
+        assert a != b and not a == b
+        assert a == a
+        held = {a: "a", b: "b"}
+        assert held[a] == "a" and held[b] == "b"
+
+    def test_keyword_defaults(self):
+        s = make_sample()
+        assert math.isnan(s.raw_output)
+        assert (s.loss, s.stalled, s.workload, s.noise) == (None, False, -1, False)
+
+    def test_pool_rows_are_samples(self):
+        kw = [dict(raw_output=0.5, loss=0.25, stalled=True, workload=2, noise=True),
+              dict(raw_output=1.5)]
+        want = [make_sample(i, **k) for i, k in enumerate(kw)]
+        got = SamplePool.from_samples(want).rows()
+        for a, b in zip(want, got):
+            assert type(b) is Sample
+            np.testing.assert_array_equal(b.features, a.features)
+            np.testing.assert_array_equal(b.prediction, a.prediction)
+            assert (b.output_bin, b.arrival_index, b.raw_output, b.loss, b.stalled,
+                    b.workload, b.noise) == (a.output_bin, a.arrival_index, a.raw_output,
+                                             a.loss, a.stalled, a.workload, a.noise)
+
+
 @st.composite
 def sample_lists(draw):
     """Rows with every field drawn, in strictly increasing arrival order."""

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +264,19 @@ class TestInjectNoise:
 
         for x, y in zip(features(7), features(7)):
             np.testing.assert_array_equal(x, y)
+
+
+def test_importing_covmem_loads_no_scipy_spatial():
+    """scipy.spatial is imported only once noise is injected."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, covmem; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestSpecValidation:
