@@ -6,7 +6,7 @@ already covered and discarding from the densest regions first.  The
 same density machinery yields a drift-aware retraining trigger.
 """
 from .samples import (
-    Batch,
+    BatchTable,
     ReplayMemory,
     Sample,
     SamplePool,
@@ -82,7 +82,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "Batch", "ReplayMemory", "Sample", "SamplePool", "StrategyConfig",
+    "BatchTable", "ReplayMemory", "Sample", "SamplePool", "StrategyConfig",
     "mixture", "validate_distribution", "validate_sample",
     "read_samples", "write_samples",
     "kl_divergence", "jsd", "jsd_pairwise", "jsd_cross", "distance_matrix",

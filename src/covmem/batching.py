@@ -11,7 +11,7 @@ group simply stays undersized.
 import numpy as np
 
 from .errors import EmptyInput
-from .samples import Batch, SamplePool, require_finite
+from .samples import BatchTable, SamplePool, require_finite
 
 __all__ = ["bbdr", "batch_samples"]
 
@@ -36,7 +36,7 @@ def bbdr(pool: SamplePool, predictor) -> SamplePool:
     return pool.with_columns(prediction=predictions)
 
 
-def batch_samples(pool: SamplePool, batch_size: int, k_out: int) -> list[Batch]:
+def batch_samples(pool: SamplePool, batch_size: int) -> BatchTable:
     """Group a sample pool into homogeneous batches of size ``batch_size``.
 
     Parameters
@@ -45,15 +45,14 @@ def batch_samples(pool: SamplePool, batch_size: int, k_out: int) -> list[Batch]:
     batch_size : int
         Target members per batch.  The final chunk of each output group
         may be smaller; chunks are never merged across output bins.
-    k_out : int
-        Number of output bins, fixing the length of each ``out_dist``.
 
     Returns
     -------
-    list of Batch
-        In sort order.  Each batch carries the mixture of its members'
-        predictions, the histogram of their output bins (a point mass,
-        given the grouping), and the mean feature vector.
+    BatchTable
+        One row per batch, in sort order.  Each row carries the mixture
+        of its members' predictions, the output bin they all share, and
+        their mean feature vector; ``member_ids`` lists the members'
+        arrival ids in the same order.
     """
     n = len(pool)
     if not n:
@@ -75,14 +74,11 @@ def batch_samples(pool: SamplePool, batch_size: int, k_out: int) -> list[Batch]:
     starts = np.concatenate(
         [np.arange(a, b, batch_size) for a, b in zip(run_bounds[:-1], run_bounds[1:])]
     )
-    sizes = np.diff(np.append(starts, n)).astype(float)[:, None]
-
-    pred_dists = np.add.reduceat(predictions[order], starts, axis=0) / sizes
-    mean_features = np.add.reduceat(pool.features[order], starts, axis=0) / sizes
-    out_dists = np.zeros((starts.size, k_out))
-    out_dists[np.arange(starts.size), out_sorted[starts]] = 1.0
-    member_ids = np.split(arrival[order], starts[1:])
-    return [
-        Batch(sample_ids=ids, pred_dist=pred, out_dist=out, mean_features=feat)
-        for ids, pred, out, feat in zip(member_ids, pred_dists, out_dists, mean_features)
-    ]
+    size = np.diff(np.append(starts, n))
+    return BatchTable(
+        member_ids=arrival[order],
+        size=size,
+        pred_dist=np.add.reduceat(predictions[order], starts, axis=0) / size[:, None],
+        out_bin=out_sorted[starts],
+        mean_features=np.add.reduceat(pool.features[order], starts, axis=0) / size[:, None],
+    )

@@ -27,8 +27,12 @@ depend on it bit for bit.
 Point masses need no entropy pass at all: two point masses are at
 distance exactly 0 in the same bin and exactly 1 in different bins.
 When every input row is a point mass (one nonzero entry, equal to 1.0),
-as every batch's ``out_dist`` is, both matrix paths return that bin
-comparison directly.  The result equals the entropy path's bit for bit.
+as the one-hot predictions of an oracle are, both matrix paths return
+that bin comparison directly.  The result equals the entropy path's bit
+for bit.  A batch never spans output bins, so its output distribution is
+always a point mass: the ``"out"`` space of :func:`distance_matrix`
+compares the batches' ``out_bin`` column the same way, with no rows to
+build.
 """
 import numpy as np
 
@@ -125,6 +129,11 @@ def _point_mass_bins(rows: np.ndarray):
     return None
 
 
+def _bin_mismatch(bins_a: np.ndarray, bins_b: np.ndarray) -> np.ndarray:
+    """JSD between point masses on ``bins_a`` and ``bins_b``: 0 in the same bin, else 1."""
+    return (bins_a[:, None] != bins_b[None, :]).astype(float)
+
+
 def _blocked(kernel, n_rows: int, n_cols: int, k: int, block, n_scratch: int,
              upper: bool) -> np.ndarray:
     """Fill an ``(n_rows, n_cols)`` matrix one row block at a time.
@@ -196,7 +205,7 @@ def jsd_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
         raise EmptyInput(f"expected a nonempty (n, k) array, got shape {rows.shape}")
     bins = _point_mass_bins(rows)
     if bins is not None:
-        return (bins[:, None] != bins[None, :]).astype(float)
+        return _bin_mismatch(bins, bins)
     n, k = rows.shape
     ent = _entropy_rows(rows)
     return _blocked(_jsd_kernel(rows, rows, ent, ent), n, n, k, block, 2, upper=True)
@@ -219,7 +228,7 @@ def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None = None) 
         )
     bins_a, bins_b = _point_mass_bins(rows_a), _point_mass_bins(rows_b)
     if bins_a is not None and bins_b is not None:
-        return (bins_a[:, None] != bins_b[None, :]).astype(float)
+        return _bin_mismatch(bins_a, bins_b)
     kernel = _jsd_kernel(rows_a, rows_b, _entropy_rows(rows_a), _entropy_rows(rows_b))
     return _blocked(kernel, rows_a.shape[0], rows_b.shape[0], rows_a.shape[1], block, 2,
                     upper=False)
@@ -235,51 +244,55 @@ def _euclidean_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None =
                     rows_a.shape[1], block, 1, upper=False)
 
 
-def _batch_rows(batches, space: str) -> np.ndarray:
+# the BatchTable column each comparison space reads
+_SPACE_COLUMNS = {"pred": "pred_dist", "out": "out_bin", "features": "mean_features"}
+
+
+def _batch_rows(batches, space: str, metric: str) -> np.ndarray:
     if not batches:
         raise EmptyInput("no batches to compare")
-    if space == "pred":
-        return np.stack([b.pred_dist for b in batches])
-    if space == "out":
-        return np.stack([b.out_dist for b in batches])
-    if space == "features":
-        return np.stack([b.mean_features for b in batches])
-    raise ValueError(f"unknown space {space!r}, expected 'pred', 'out', or 'features'")
+    if space not in _SPACE_COLUMNS:
+        raise ValueError(f"unknown space {space!r}, expected 'pred', 'out', or 'features'")
+    if metric not in ("jsd", "euclidean") or (space == "out" and metric != "jsd"):
+        raise ValueError(f"unknown metric {metric!r} for space {space!r}")
+    return getattr(batches, _SPACE_COLUMNS[space])
 
 
 def distance_matrix(batches, space: str = "pred", metric: str = "jsd") -> np.ndarray:
-    """Pairwise distances between batches in one comparison space.
+    """Pairwise distances between the batches of one table in one comparison space.
 
     Parameters
     ----------
-    batches : sequence of Batch
+    batches : BatchTable
     space : {"pred", "out", "features"}
-        Which batch summary to compare.
+        Which batch summary to compare: the ``pred_dist``, ``out_bin``
+        or ``mean_features`` column.
     metric : {"jsd", "euclidean"}
         ``jsd`` applies to the distribution spaces, ``euclidean`` to
-        batch-average features.
+        batch-average features.  The ``out`` space takes ``jsd`` only:
+        each batch's output distribution is a point mass on its
+        ``out_bin``, so distances are 0 within a bin and 1 across bins.
 
     Returns
     -------
     ndarray
         Symmetric ``(n, n)`` matrix, zero diagonal.
     """
-    rows = _batch_rows(batches, space)
+    rows = _batch_rows(batches, space, metric)
+    if space == "out":
+        return _bin_mismatch(rows, rows)
     if metric == "jsd":
         return jsd_pairwise(rows)
-    if metric == "euclidean":
-        return _euclidean_pairwise(rows)
-    raise ValueError(f"unknown metric {metric!r}")
+    return _euclidean_pairwise(rows)
 
 
 def cross_distance_matrix(batches_a, batches_b, space: str = "pred",
                           metric: str = "jsd") -> np.ndarray:
-    """Rectangular distances between two batch lists."""
-    rows_a = _batch_rows(batches_a, space)
-    rows_b = _batch_rows(batches_b, space)
+    """Rectangular distances between the batches of two tables, as in :func:`distance_matrix`."""
+    rows_a = _batch_rows(batches_a, space, metric)
+    rows_b = _batch_rows(batches_b, space, metric)
+    if space == "out":
+        return _bin_mismatch(rows_a, rows_b)
     if metric == "jsd":
         return jsd_cross(rows_a, rows_b)
-    if metric == "euclidean":
-        return _euclidean_cross(rows_a, rows_b)
-    raise ValueError(f"unknown metric {metric!r}")
-
+    return _euclidean_cross(rows_a, rows_b)

@@ -101,6 +101,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.input is not None and (self.k_pred is None or self.k_out is None):
             raise ConfigError("file-based runs must set k_pred and k_out")
+        if not 0.0 <= self.noise_fraction <= 1.0:
+            raise ConfigError(f"noise_fraction must lie in [0, 1], got {self.noise_fraction}")
+        if self.input is not None and self.noise_fraction:
+            raise ConfigError("noise_fraction needs a scenario to draw noise from; "
+                              "file-based runs cannot inject it")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Core data model: samples, sample pools, batches, the replay memory, and record I/O.
+"""Core data model: samples, sample pools, batch tables, the replay memory, and record I/O.
 
 A :class:`SamplePool` is the working representation: one array per
 field, one row per sample.  :class:`Sample` is the row type at the API
@@ -7,9 +7,9 @@ immutable named tuple, compared and hashed by identity.
 :meth:`SamplePool.rows` builds the rows without running Python code per
 row and returns :class:`PoolRows`, rows that carry the pool they were
 cut from, so handing them back to :meth:`SamplePool.from_samples` costs
-nothing.  A :class:`Batch` exists only inside one coverage ``select``
-call and in the memory's reference set; the memory itself holds a pool,
-not batches.
+nothing.  A :class:`BatchTable` holds the batches of one coverage
+``select`` call as columns, one row per batch, and the memory keeps one
+as its retrain reference; the memory itself holds a pool, not batches.
 Categorical distributions are plain 1-D ``numpy`` arrays that sum to one.
 No wrapper class is used; :func:`validate_distribution` checks one
 vector, and ``selection.ingest`` checks a chunk's prediction rows
@@ -36,7 +36,7 @@ __all__ = [
     "Sample",
     "SamplePool",
     "PoolRows",
-    "Batch",
+    "BatchTable",
     "ReplayMemory",
     "StrategyConfig",
     "mixture",
@@ -255,22 +255,39 @@ def _stack_rows(rows: list, column: str) -> np.ndarray:
         raise LengthMismatch(f"{column} lengths differ within one pool: {lengths}") from None
 
 
-@dataclass(eq=False)
-class Batch:
-    """A group of samples summarised by two categorical distributions.
+@dataclass(frozen=True, eq=False)
+class BatchTable:
+    """Batches of samples stored column-wise: one row per batch.
 
-    ``pred_dist`` is the mixture of member predictions, ``out_dist`` the
-    normalized histogram of member output bins.
+    ``member_ids`` ``(n,)`` holds the members' arrival ids batch after
+    batch: batch ``i`` owns the ``size[i]`` ids that follow those of the
+    batches before it.  ``pred_dist`` ``(m, k_pred)`` is the mixture of
+    each batch's member predictions, ``out_bin`` ``(m,)`` the output bin
+    all its members share, and ``mean_features`` ``(m, d)`` their mean
+    feature vector.  ``len()`` counts batches, so an empty table is
+    falsy.  Operations return new tables and never write into a column.
     """
 
-    sample_ids: np.ndarray
+    member_ids: np.ndarray
+    size: np.ndarray
     pred_dist: np.ndarray
-    out_dist: np.ndarray
+    out_bin: np.ndarray
     mean_features: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return int(self.sample_ids.shape[0])
+    def __len__(self) -> int:
+        return self.size.shape[0]
+
+    def take(self, idx) -> "BatchTable":
+        """Batches at increasing positions ``idx``, with their members."""
+        chosen = np.zeros(len(self), dtype=bool)
+        chosen[idx] = True
+        return BatchTable(
+            member_ids=self.member_ids[np.repeat(chosen, self.size)],
+            size=self.size[idx],
+            pred_dist=self.pred_dist[idx],
+            out_bin=self.out_bin[idx],
+            mean_features=self.mean_features[idx],
+        )
 
 
 @dataclass(eq=False)
@@ -279,15 +296,16 @@ class ReplayMemory:
 
     ``pool`` holds the members in arrival order.  ``last_train_batches``
     is the reference set of the coverage strategy's retrain trigger: the
-    batches kept at the last retraining event.  They keep their
-    distributions even after later discards drop some of their members,
-    which is exactly what the coverage comparison needs.  The other
-    strategies retrain unconditionally and leave it empty.
+    :class:`BatchTable` of the batches kept at the last retraining
+    event.  Its rows keep their distributions even after later discards
+    drop some of their members, which is exactly what the coverage
+    comparison needs.  The other strategies retrain unconditionally and
+    leave it ``None``.
     """
 
     capacity: int
     pool: SamplePool = field(default_factory=SamplePool.empty)
-    last_train_batches: list[Batch] = field(default_factory=list)
+    last_train_batches: BatchTable | None = None
 
     def __post_init__(self):
         if self.capacity <= 0:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .predictors import with_losses
 from .samples import (
-    Batch,
+    BatchTable,
     ReplayMemory,
     Sample,
     SamplePool,
@@ -52,7 +52,7 @@ class DiscardEvent(NamedTuple):
     """One draw of the discard loop, for audit and debugging."""
 
     step: int
-    batch_index: int  # position in the batch list built for this call
+    batch_index: int  # row of this call's batch table
     probability: float  # mass the drawn batch held at draw time
 
 
@@ -95,22 +95,22 @@ def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, probabilities.size - 1)
 
 
-def _space_matrices(pairwise, pred_metric: str, *batch_lists) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction- and output-space distances over ``batch_lists``.
+def _space_matrices(pairwise, pred_metric: str, *tables) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction- and output-space distances over batch ``tables``.
 
-    ``pairwise`` is :func:`distance_matrix` (one list, the self case) or
+    ``pairwise`` is :func:`distance_matrix` (one table, the self case) or
     :func:`cross_distance_matrix` (current against reference).
     """
     d_pred = pairwise(
-        *batch_lists,
+        *tables,
         space="features" if pred_metric == "euclidean" else "pred",
         metric=pred_metric,
     )
-    return d_pred, pairwise(*batch_lists, space="out")
+    return d_pred, pairwise(*tables, space="out")
 
 
-def _min_densities(pairwise, bandwidth: float, pred_metric: str, *batch_lists) -> np.ndarray:
-    d_pred, d_out = _space_matrices(pairwise, pred_metric, *batch_lists)
+def _min_densities(pairwise, bandwidth: float, pred_metric: str, *tables) -> np.ndarray:
+    d_pred, d_out = _space_matrices(pairwise, pred_metric, *tables)
     return np.minimum(kde(d_pred, bandwidth), kde(d_out, bandwidth))
 
 
@@ -119,9 +119,9 @@ def _rci(rho_self: np.ndarray, rho_cross: np.ndarray) -> float:
     return float(gains.sum() / rho_self.sum())
 
 
-def rci(current: list[Batch], reference: list[Batch], bandwidth: float,
+def rci(current: BatchTable, reference: BatchTable | None, bandwidth: float,
         pred_metric: str = "jsd") -> float:
-    """Relative coverage improvement of ``current`` over ``reference``.
+    """Relative coverage improvement of the ``current`` batches over ``reference``.
 
     For each current batch, compare its density within the current set
     against the density the reference set assigns to the same location:
@@ -132,7 +132,7 @@ def rci(current: list[Batch], reference: list[Batch], bandwidth: float,
     Only gains count; regions that merely shrank do not cancel regions
     that are newly covered.  The ratio lies in ``[0, 1]``: it is 0 when
     the reference already covers everything the current set does, and 1
-    against an empty reference.
+    against an empty or missing reference.
     """
     if not current:
         raise EmptyCurrentSet("current batch set is empty")
@@ -144,7 +144,7 @@ def rci(current: list[Batch], reference: list[Batch], bandwidth: float,
     )
 
 
-def retrain_decision(current: list[Batch], reference: list[Batch],
+def retrain_decision(current: BatchTable, reference: BatchTable | None,
                      threshold: float, bandwidth: float,
                      pred_metric: str = "jsd") -> tuple[bool, float]:
     """Whether coverage moved enough since the last training set.
@@ -225,7 +225,7 @@ def select(
     memory : ReplayMemory
         Mutated in place: afterwards its pool holds the surviving
         samples, and on retraining ``last_train_batches`` holds the
-        surviving batches as the new reference set.
+        table of surviving batches as the new reference set.
     new_samples : sequence of Sample
         Fresh arrivals, stacked into a :class:`SamplePool` once and
         checked (see :func:`ingest`); the chunks of
@@ -251,14 +251,17 @@ def select(
     -------
     SelectionOutcome
         Kept sample ids, the discard trace, and the retrain decision.
+        Each :class:`DiscardEvent` names a row of the
+        :class:`~covmem.samples.BatchTable` this call batched the pool
+        into.
     """
     pool = ingest(memory, new_samples, cfg, predictor).sorted_by_arrival()
     if not len(pool):
         raise EmptyInput("nothing to select from: memory and new samples are both empty")
 
-    batches = batch_samples(pool, cfg.batch_size, cfg.k_out)
+    batches = batch_samples(pool, cfg.batch_size)
     total = len(pool)
-    sizes = np.array([b.size for b in batches])
+    sizes = batches.size
     if total > cfg.capacity and sizes.min() > cfg.capacity:
         raise CapacityTooSmallForOneBatch(
             f"capacity {cfg.capacity} is below every batch size "
@@ -267,37 +270,35 @@ def select(
 
     state = DensityState(*_space_matrices(distance_matrix, pred_metric, batches), cfg.bandwidth)
 
-    alive = list(batches)
-    alive_sizes = list(sizes)
     trace: list[DiscardEvent] = []
-    step = 0
     while total > cfg.capacity:
-        if len(alive) == 1:
+        if state.count == 1:
             raise CapacityTooSmallForOneBatch(
-                f"one batch of {alive[0].size} samples left, capacity {cfg.capacity}"
+                f"one batch of {sizes[state.active_indices[0]]} samples left, "
+                f"capacity {cfg.capacity}"
             )
         probs = discard_probabilities(state.rho_min, cfg.temperature)
         j = draw_index(probs, rng)
-        trace.append(DiscardEvent(step, int(state.active_indices[j]), float(probs[j])))
-        total -= alive_sizes[j]
-        del alive[j], alive_sizes[j]
+        batch_index = int(state.active_indices[j])
+        trace.append(DiscardEvent(len(trace), batch_index, float(probs[j])))
+        total -= sizes[batch_index]
         state.remove_batch(j)
-        step += 1
 
-    # the RCI of the survivors, as rci(alive, reference) computes it, but
+    # the RCI of the survivors, as rci(kept, reference) computes it, but
     # with the self-densities read off the matrices the loop already holds
+    kept = batches.take(state.active_indices)
     reference = memory.last_train_batches
     if reference:
         rci_value = _rci(
             np.minimum(*state.recompute()),
-            _min_densities(cross_distance_matrix, cfg.bandwidth, pred_metric, alive, reference),
+            _min_densities(cross_distance_matrix, cfg.bandwidth, pred_metric, kept, reference),
         )
     else:
         rci_value = 1.0
     retrain = rci_value >= cfg.threshold
 
-    kept_ids = np.sort(np.concatenate([batch.sample_ids for batch in alive]))
+    kept_ids = np.sort(kept.member_ids)
     memory.replace_contents(pool.take(np.searchsorted(pool.arrival_index, kept_ids)))
     if retrain:
-        memory.last_train_batches = list(alive)
+        memory.last_train_batches = kept
     return SelectionOutcome(kept_ids, trace, retrain, rci_value)

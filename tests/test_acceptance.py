@@ -164,9 +164,9 @@ def test_criterion_03_zero_temperature_matches_greedy_oracle():
             outcome = make_strategy("memento").select(
                 memory, chunk, cfg, None, np.random.default_rng([pool_index, 4]))
 
-            batches = batch_samples(SamplePool.from_samples(chunk), 1, k)
-            pred_rows = np.stack([b.pred_dist for b in batches])
-            out_rows = np.stack([b.out_dist for b in batches])
+            batches = batch_samples(SamplePool.from_samples(chunk), 1)
+            pred_rows = batches.pred_dist
+            out_rows = np.eye(k)[batches.out_bin]
             d_pred = cdist(pred_rows, pred_rows, metric="jensenshannon") / np.sqrt(LN2)
             d_out = cdist(out_rows, out_rows, metric="jensenshannon") / np.sqrt(LN2)
             active = list(range(len(batches)))
@@ -182,7 +182,7 @@ def test_criterion_03_zero_temperature_matches_greedy_oracle():
                 if len(rho) > 1 and ranked[0] - ranked[1] > tie_eps:
                     assert active[int(np.argmax(rho))] == event.batch_index
                 active.pop(position)
-            kept_oracle = sorted(batches[i].sample_ids[0] for i in active)
+            kept_oracle = sorted(batches.member_ids[active])
             assert sorted(outcome.kept_ids) == kept_oracle
 
 
@@ -316,7 +316,7 @@ def test_criterion_08_coverage_change_index_fixed_points():
             samples = [
                 labeled_sample(np.eye(k)[b], b, i) for i, b in enumerate(bins)
             ]
-            return batch_samples(SamplePool.from_samples(samples), cfg_batch, k)
+            return batch_samples(SamplePool.from_samples(samples), cfg_batch)
 
         current = point_mass_batches([4, 5, 6, 7, 4, 5])
         reference = point_mass_batches([0, 1, 2, 3, 0, 1])
@@ -329,8 +329,8 @@ def test_criterion_08_coverage_change_index_fixed_points():
                  for i in range(int(rng.integers(1, 40)))]
             b = [labeled_sample(rng.dirichlet(np.ones(k)), int(rng.integers(k)), i)
                  for i in range(int(rng.integers(1, 40)))]
-            value = rci(batch_samples(SamplePool.from_samples(a), 4, k),
-                        batch_samples(SamplePool.from_samples(b), 4, k),
+            value = rci(batch_samples(SamplePool.from_samples(a), 4),
+                        batch_samples(SamplePool.from_samples(b), 4),
                         bandwidth=0.1)
             assert 0.0 <= value <= 1.0
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import jensenshannon
 
 from covmem import (
-    Batch,
+    BatchTable,
     cross_distance_matrix,
     distance_matrix,
     jsd,
@@ -261,38 +261,47 @@ class TestMetricProperties:
 
 
 class TestBatchSpaces:
-    def make_batches(self):
-        rng = np.random.default_rng(9)
-        return [
-            Batch(
-                sample_ids=np.array([i]),
-                pred_dist=rng.dirichlet(np.ones(3)),
-                out_dist=rng.dirichlet(np.ones(4)),
-                mean_features=rng.normal(size=2),
-            )
-            for i in range(5)
-        ]
+    def make_batches(self, seed=9, n=5, k_out=4):
+        rng = np.random.default_rng(seed)
+        return BatchTable(
+            member_ids=np.arange(n),
+            size=np.ones(n, dtype=np.int64),
+            pred_dist=rng.dirichlet(np.ones(3), size=n),
+            out_bin=rng.integers(k_out, size=n),
+            mean_features=rng.normal(size=(n, 2)),
+        )
 
     def test_spaces_pick_the_right_summary(self):
         batches = self.make_batches()
+        out_dist = np.eye(4)[batches.out_bin]
         pred = distance_matrix(batches, space="pred")
         out = distance_matrix(batches, space="out")
-        assert pred[0, 1] == pytest.approx(jsd(batches[0].pred_dist, batches[1].pred_dist))
-        assert out[0, 1] == pytest.approx(jsd(batches[0].out_dist, batches[1].out_dist))
+        assert pred[0, 1] == pytest.approx(jsd(batches.pred_dist[0], batches.pred_dist[1]))
+        assert out[0, 1] == pytest.approx(jsd(out_dist[0], out_dist[1]))
+
+    @pytest.mark.parametrize("seed,n,k_out", [(0, 1, 1), (1, 7, 2), (2, 40, 3), (3, 120, 21)])
+    def test_out_space_equals_jsd_of_one_hot_rows(self, seed, n, k_out):
+        a = self.make_batches(seed, n, k_out)
+        b = self.make_batches(seed + 100, n + 3, k_out)
+        one_hot_a, one_hot_b = np.eye(k_out)[a.out_bin], np.eye(k_out)[b.out_bin]
+        np.testing.assert_array_equal(distance_matrix(a, "out"), jsd_pairwise(one_hot_a))
+        np.testing.assert_array_equal(cross_distance_matrix(a, b, "out"),
+                                      jsd_cross(one_hot_a, one_hot_b))
 
     def test_euclidean_over_mean_features(self):
         batches = self.make_batches()
         mat = distance_matrix(batches, space="features", metric="euclidean")
-        expect = np.linalg.norm(batches[0].mean_features - batches[2].mean_features)
+        expect = np.linalg.norm(batches.mean_features[0] - batches.mean_features[2])
         assert mat[0, 2] == pytest.approx(expect)
         assert_distance_matrix(mat)
 
     def test_cross_euclidean(self):
         batches = self.make_batches()
-        mat = cross_distance_matrix(batches[:2], batches[2:], space="features", metric="euclidean")
+        mat = cross_distance_matrix(batches.take([0, 1]), batches.take([2, 3, 4]),
+                                    space="features", metric="euclidean")
         assert mat.shape == (2, 3)
         assert mat[1, 0] == pytest.approx(
-            np.linalg.norm(batches[1].mean_features - batches[2].mean_features)
+            np.linalg.norm(batches.mean_features[1] - batches.mean_features[2])
         )
 
     def test_unknown_space_or_metric(self):

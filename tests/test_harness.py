@@ -89,6 +89,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field):
             RunConfig(**kwargs)
 
+    @pytest.mark.parametrize("source,value", [
+        (dict(scenario="rare_patterns"), -0.1),
+        (dict(scenario="rare_patterns"), 1.5),
+        (dict(scenario="rare_patterns"), float("nan")),
+        (dict(input="pool.ndjson", k_pred=3, k_out=3), 0.05),
+    ], ids=["negative", "above_one", "nan", "file_input"])
+    def test_rejects_noise_fractions_it_cannot_apply(self, source, value):
+        with pytest.raises(ConfigError, match="noise_fraction"):
+            RunConfig(strategy="memento", capacity=10, batch_size=5, noise_fraction=value,
+                      **source)
+
 
 class TestParseConfig:
     def write(self, tmp_path, text):
@@ -133,6 +144,12 @@ class TestParseConfig:
         path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
                                     "capacity = 8\nbatch_size = 4\niterations = 0\n")
         with pytest.raises(ConfigError, match="iterations"):
+            parse_config(path)
+
+    def test_noise_fraction_above_one_fails_at_parse(self, tmp_path):
+        path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
+                                    "capacity = 8\nbatch_size = 4\nnoise_fraction = 1.5\n")
+        with pytest.raises(ConfigError, match="noise_fraction"):
             parse_config(path)
 
     def test_hash_inside_a_value_is_kept(self, tmp_path):

@@ -92,8 +92,8 @@ class TestDrawIndex:
         assert all(0 <= draw_index(p, rng) < 7 for _ in range(1000))
 
 
-def batches_from(samples, batch_size=1, k_out=4):
-    return batch_samples(SamplePool.from_samples(samples), batch_size=batch_size, k_out=k_out)
+def batches_from(samples, batch_size=1):
+    return batch_samples(SamplePool.from_samples(samples), batch_size=batch_size)
 
 
 class TestRci:
@@ -250,13 +250,13 @@ class TestSelect:
         rng = np.random.default_rng(0)
         out1 = select(memory, [sample(i, 0, np.eye(4)[0]) for i in range(4)], cfg, None, rng)
         assert out1.retrain and out1.rci == 1.0
-        snapshot = list(memory.last_train_batches)
+        snapshot = memory.last_train_batches
 
         out2 = select(memory, [sample(4 + i, 1, np.eye(4)[1]) for i in range(4)], cfg, None, rng)
         # half the kept mass (the new bin) is uncovered by the snapshot
         assert out2.rci == pytest.approx(0.5, abs=1e-12)
         assert not out2.retrain
-        assert memory.last_train_batches == snapshot
+        assert memory.last_train_batches is snapshot
 
         out3 = select(memory, [sample(8 + i, 2, np.eye(4)[2]) for i in range(4)], cfg, None, rng)
         # two of three bins are new relative to the *original* snapshot; a
@@ -314,11 +314,11 @@ class TestSelect:
                 chunk.append(sample(arrival, int(rng.integers(k)), prediction,
                                     features=rng.normal(size=2)))
                 arrival += 1
-            reference_before = list(memory.last_train_batches)
+            reference_before = memory.last_train_batches
             outcome = select(memory, chunk, cfg, None, rng, pred_metric=pred_metric)
             # Discards take whole batches, so batching the survivors again
             # cuts every output run at the same boundaries: the kept batches.
-            kept = batch_samples(memory.sorted_samples(), cfg.batch_size, cfg.k_out)
+            kept = batch_samples(memory.sorted_samples(), cfg.batch_size)
             assert outcome.rci == rci(kept, reference_before, cfg.bandwidth, pred_metric)
             assert outcome.retrain == (outcome.rci >= cfg.threshold)
 
