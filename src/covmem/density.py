@@ -8,22 +8,49 @@ including the self term, so every density lies in ``(0, 1/sqrt(2 pi)]``.
 The per-batch value aggregated across comparison spaces is the minimum,
 which flags a batch as rare if it is rare in either space.
 
-:class:`DensityState` keeps both spaces' densities current while whole
-batches are discarded, using the algebraic identity
+Batch summaries repeat: the output space has at most ``k_out`` distinct
+rows, and one-hot predictions give few distinct prediction rows.
+:class:`DensityState` therefore works on a kernel table over the
+*distinct* rows of each space, ``E = exp(-0.5 (D / h)^2)`` for the
+``u x u`` distance table ``D``, plus each batch's row of it, its type.
+Batches of one type share every distance, so they share one density,
+and the state keeps one density per type:
 
-    rho'(b) = (n rho(b) - k(b, j)) / (n - 1)
+    rho(t) = 1 / (sqrt(2 pi) n) * sum_j E[t, type(j)]
 
-where ``k`` is the normalized kernel value against the removed batch
-``j``.  This is exact, not an approximation, and the test suite holds it
-to the from-scratch recomputation at 1e-9.
+A square distance matrix over all batches is the table whose types are
+the identity, so both inputs take the same path.  While whole batches
+are discarded, the exact identity
+
+    rho'(t) = (n rho(t) - k(t, type(j))) / (n - 1),   k = E / sqrt(2 pi)
+
+updates every type at once, with no exponential: ``k`` is the
+normalized kernel value against the removed batch ``j``.  This is exact,
+not an approximation; the tests hold it to the from-scratch
+recomputation at 1e-9.
+
+The table is built with :func:`kde`'s operations in :func:`kde`'s order
+and every row mean runs over a C-contiguous row in batch order, so the
+densities equal :func:`kde` of the full ``n x n`` matrix bit for bit.
 """
 import numpy as np
 
-from .errors import EmptyInput, LastBatch, NonPositiveBandwidth
+from .errors import EmptyInput, LastBatch, LengthMismatch, NonPositiveBandwidth
 
 __all__ = ["kde", "DensityState"]
 
 _NORM = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not bandwidth > 0:
+        raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth}")
+
+
+def _kernel_table(distances: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Unnormalized Gaussian kernel of every entry, ``exp(-0.5 (d / h)^2)``."""
+    scaled = distances / bandwidth
+    return np.exp(-0.5 * scaled * scaled)
 
 
 def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -43,74 +70,105 @@ def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
     ndarray
         Length-``n`` density vector.
     """
-    if bandwidth <= 0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth}")
+    _check_bandwidth(bandwidth)
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 2 or distances.size == 0:
         raise EmptyInput(f"expected a nonempty 2-D distance matrix, got shape {distances.shape}")
-    scaled = distances / bandwidth
-    return _NORM * np.exp(-0.5 * scaled * scaled).mean(axis=1)
+    return _NORM * _kernel_table(distances, bandwidth).mean(axis=1)
+
+
+def _table_and_types(distances, types) -> tuple[np.ndarray, np.ndarray]:
+    distances = np.asarray(distances, dtype=float)
+    u = distances.shape[0]
+    if distances.ndim != 2 or distances.shape != (u, u) or u == 0:
+        raise EmptyInput(f"expected a nonempty square distance table, got {distances.shape}")
+    if types is None:
+        return distances, np.arange(u)
+    types = np.asarray(types, dtype=np.intp)
+    if types.ndim != 1 or types.size == 0 or types.min() < 0 or types.max() >= u:
+        raise ValueError(f"types must be a nonempty vector of rows of the {u}-row table")
+    return distances, types
 
 
 class DensityState:
     """Per-space densities of a batch set under whole-batch removal.
 
-    Owns the two distance matrices and an index of still-active batches.
-    Removal is O(active) per call: the matrices are never copied, and
-    densities are updated with the exact renormalization identity.
+    Holds each space's kernel table over distinct rows and the types of
+    the still-active batches.  Removal updates one density per type and
+    shifts the active batches' tail one place; the tables are never
+    copied.
 
     Parameters
     ----------
     distances_pred, distances_out : ndarray
-        Square distance matrices over the same batch set.  Both must be
-        exactly symmetric, as every matrix
+        Square distance tables, one per space.  Both must be exactly
+        symmetric, as every matrix
         :func:`~covmem.distances.distance_matrix` builds is: a removal
         reads the removed batch's row where the update needs its column.
     bandwidth : float
         Shared kernel width.
+    types_pred, types_out : ndarray or None
+        Each batch's row of the table, one entry per batch and the same
+        length in both spaces (see
+        :func:`~covmem.distances.distinct_rows`).  ``None`` means the
+        identity: the table is the full matrix over the batches.
     """
 
-    def __init__(self, distances_pred: np.ndarray, distances_out: np.ndarray, bandwidth: float):
-        if bandwidth <= 0:
-            raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth}")
-        distances_pred = np.asarray(distances_pred, dtype=float)
-        distances_out = np.asarray(distances_out, dtype=float)
-        if distances_pred.shape != distances_out.shape:
-            raise ValueError(
-                f"matrix shapes differ: {distances_pred.shape} vs {distances_out.shape}"
-            )
-        n = distances_pred.shape[0]
-        if distances_pred.ndim != 2 or distances_pred.shape != (n, n) or n == 0:
-            raise EmptyInput(f"expected nonempty square matrices, got {distances_pred.shape}")
-        self._d_pred = distances_pred
-        self._d_out = distances_out
+    def __init__(self, distances_pred: np.ndarray, distances_out: np.ndarray, bandwidth: float,
+                 types_pred=None, types_out=None):
+        _check_bandwidth(bandwidth)
+        distances_pred, types_pred = _table_and_types(distances_pred, types_pred)
+        distances_out, types_out = _table_and_types(distances_out, types_out)
+        n = types_pred.shape[0]
+        if types_out.shape[0] != n:
+            raise LengthMismatch(f"batch counts differ: {n} vs {types_out.shape[0]}")
         self.bandwidth = float(bandwidth)
-        self._set_active(np.arange(n))
-        self.rho_pred = kde(distances_pred, bandwidth)
-        self.rho_out = kde(distances_out, bandwidth)
+        # E, for from-scratch row means, and K = E / sqrt(2 pi), for removals
+        self._kernel_pred = _kernel_table(distances_pred, bandwidth)
+        self._kernel_out = _kernel_table(distances_out, bandwidth)
+        self._removal_pred = _NORM * self._kernel_pred
+        self._removal_out = _NORM * self._kernel_out
+        # rows: original position, prediction type, output type of each
+        # active batch, in order; the first ``_count`` columns are live
+        self._rows = np.stack([np.arange(n), types_pred, types_out])
+        self._count = n
+        self._rho_pred = self._type_densities(self._kernel_pred, types_pred)
+        self._rho_out = self._type_densities(self._kernel_out, types_out)
+
+    @staticmethod
+    def _type_densities(kernel: np.ndarray, types: np.ndarray) -> np.ndarray:
+        """Density of every type over the batches of ``types``.
+
+        ``np.take`` along the columns returns a C-contiguous block, so
+        each row mean sums in batch order, as :func:`kde` does.
+        """
+        return _NORM * np.take(kernel, types, axis=1).mean(axis=1)
 
     @property
     def count(self) -> int:
-        return self._active.shape[0]
+        return self._count
 
     @property
     def active_indices(self) -> np.ndarray:
-        """Original positions of the still-active batches, in order (read-only)."""
-        return self._active
+        """Original positions of the still-active batches, in order.
 
-    def _set_active(self, active: np.ndarray) -> None:
-        # handed out without a copy, so frozen; a removal replaces it
-        active.flags.writeable = False
-        self._active = active
+        A read-only view, valid until the next removal.
+        """
+        view = self._rows[0, :self._count]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def rho_pred(self) -> np.ndarray:
+        return self._rho_pred[self._rows[1, :self._count]]
+
+    @property
+    def rho_out(self) -> np.ndarray:
+        return self._rho_out[self._rows[2, :self._count]]
 
     @property
     def rho_min(self) -> np.ndarray:
         return np.minimum(self.rho_pred, self.rho_out)
-
-    def _kernel_column(self, matrix: np.ndarray, j: int) -> np.ndarray:
-        # the contiguous row equals the strided column of a symmetric matrix
-        col = matrix[self._active[j]][self._active] / self.bandwidth
-        return _NORM * np.exp(-0.5 * col * col)
 
     def remove_batch(self, j: int) -> None:
         """Drop active batch ``j`` and renormalize both density vectors.
@@ -119,26 +177,33 @@ class DensityState:
         remaining batch is refused because a density over an empty set
         is undefined.
         """
-        n = self.count
+        n = self._count
         if not 0 <= j < n:
             raise IndexError(f"batch index {j} out of range for {n} active batches")
         if n == 1:
             raise LastBatch("cannot remove the only remaining batch")
-        k_pred = self._kernel_column(self._d_pred, j)
-        k_out = self._kernel_column(self._d_out, j)
-        keep = np.arange(n) != j
-        self.rho_pred = (n * self.rho_pred[keep] - k_pred[keep]) / (n - 1)
-        self.rho_out = (n * self.rho_out[keep] - k_out[keep]) / (n - 1)
-        self._set_active(self._active[keep])
+        rows = self._rows
+        # (n rho - K[type of j]) / (n - 1), in place; the properties hand out copies
+        for rho, removal, t in ((self._rho_pred, self._removal_pred, rows[1, j]),
+                                (self._rho_out, self._removal_out, rows[2, j])):
+            rho *= n
+            rho -= removal[t]
+            rho /= n - 1
+        rows[:, j:n - 1] = rows[:, j + 1:n]
+        self._count = n - 1
 
     def recompute(self) -> tuple[np.ndarray, np.ndarray]:
-        """From-scratch densities of the active set over the held matrices.
+        """From-scratch densities of the active set, from the kernel tables.
 
-        Row means over the active rows and columns, in active order, so
-        they equal :func:`kde` of a distance matrix built afresh over the
-        surviving batches bit for bit.  The tests hold the incremental
-        densities to them; :func:`~covmem.selection.select` takes the
-        retrain trigger's self-densities from them.
+        Row means over the active batches, in active order, so they equal
+        :func:`kde` of a distance matrix built afresh over the surviving
+        batches bit for bit.  The tests hold the incremental densities to
+        them; :func:`~covmem.selection.select` takes the retrain
+        trigger's self-densities from them.
         """
-        idx = np.ix_(self._active, self._active)
-        return kde(self._d_pred[idx], self.bandwidth), kde(self._d_out[idx], self.bandwidth)
+        n = self._count
+        types_pred, types_out = self._rows[1, :n], self._rows[2, :n]
+        return (
+            self._type_densities(self._kernel_pred, types_pred)[types_pred],
+            self._type_densities(self._kernel_out, types_out)[types_out],
+        )

@@ -33,6 +33,12 @@ for bit.  A batch never spans output bins, so its output distribution is
 always a point mass: the ``"out"`` space of :func:`distance_matrix`
 compares the batches' ``out_bin`` column the same way, with no rows to
 build.
+
+Batch summaries repeat, so callers need not compare every pair of
+batches: :func:`distinct_rows` returns the bitwise-distinct rows of a
+space and each batch's index into them.  A matrix over the distinct
+rows, gathered by those indices, is the full matrix bit for bit,
+because every pair's value depends only on the two rows.
 """
 import numpy as np
 
@@ -45,6 +51,7 @@ __all__ = [
     "jsd_cross",
     "distance_matrix",
     "cross_distance_matrix",
+    "distinct_rows",
 ]
 
 _LOG2 = np.log(2.0)
@@ -256,6 +263,35 @@ def _batch_rows(batches, space: str, metric: str) -> np.ndarray:
     if metric not in ("jsd", "euclidean") or (space == "out" and metric != "jsd"):
         raise ValueError(f"unknown metric {metric!r} for space {space!r}")
     return getattr(batches, _SPACE_COLUMNS[space])
+
+
+def distinct_rows(batches, space: str = "pred",
+                  metric: str = "jsd") -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of one comparison space, and each batch's index into them.
+
+    ``out_bin`` values compare as values; 2-D rows compare their bytes,
+    so only bitwise-equal rows merge.  Batches with equal rows are at
+    distance exactly 0 and have equal distances to every other batch,
+    so a matrix over the distinct rows, gathered by the returned types,
+    equals the full matrix bit for bit.
+
+    Returns
+    -------
+    first : ndarray
+        Position of each distinct row's first occurrence, increasing.
+    types : ndarray
+        For every batch, the index into ``first`` of its row.
+    """
+    rows = _batch_rows(batches, space, metric)
+    if rows.ndim == 2:
+        rows = np.ascontiguousarray(rows)
+        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, types = np.unique(rows, return_index=True, return_inverse=True)
+    # np.unique numbers the rows in sort order; renumber by first occurrence
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[types]
 
 
 def distance_matrix(batches, space: str = "pred", metric: str = "jsd") -> np.ndarray:

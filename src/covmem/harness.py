@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import STRATEGY_KINDS, make_strategy
-from .errors import ConfigError, EmptyInput, UnbalancedEvalSet
+from .errors import BadFraction, ConfigError, EmptyInput, UnbalancedEvalSet
 from .predictors import (
     CentroidPredictor,
     HistogramPredictor,
@@ -261,8 +261,12 @@ def scenario_stream(scenario: str, seed: int, noise_fraction: float = 0.0, **sha
 
     ``shape`` holds scenario-builder keywords; a ``None`` value keeps the
     builder's default, and ``stationary`` reaches ``rare_patterns`` only.
+    A ``noise_fraction`` outside ``[0, 1]``, or NaN, raises
+    :class:`~covmem.errors.BadFraction` before anything is built.
     Returns ``(stream, spec)``.
     """
+    if not 0.0 <= noise_fraction <= 1.0:
+        raise BadFraction(f"noise fraction must lie in [0, 1], got {noise_fraction}")
     shape = {k: v for k, v in shape.items() if v is not None}
     if scenario != "rare_patterns":
         shape.pop("stationary", None)

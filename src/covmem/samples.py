@@ -23,13 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    BadFraction,
     BinOutOfRange,
     CovmemError,
     EmptyInput,
     LengthMismatch,
     NegativeProbability,
+    NegativeTemperature,
     NonFiniteValue,
     NonNormalizedPrediction,
+    NonPositiveBandwidth,
 )
 
 __all__ = [
@@ -370,12 +373,13 @@ class StrategyConfig:
                 f"batch_size {self.batch_size} exceeds capacity {self.capacity}; "
                 "whole-batch discards could never terminate"
             )
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
+        # written so that NaN fails every check
+        if not self.bandwidth > 0:
+            raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.bandwidth}")
+        if not self.temperature >= 0:
+            raise NegativeTemperature(f"temperature must be nonnegative, got {self.temperature}")
         if not 0 <= self.threshold <= 1:
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
+            raise BadFraction(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.k_pred <= 0 or self.k_out <= 0:
             raise ValueError(
                 f"bin counts must be positive, got k_pred={self.k_pred} k_out={self.k_out}"

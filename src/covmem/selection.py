@@ -16,7 +16,7 @@ import numpy as np
 
 from .batching import batch_samples, bbdr
 from .density import DensityState, kde
-from .distances import cross_distance_matrix, distance_matrix
+from .distances import cross_distance_matrix, distance_matrix, distinct_rows
 from .errors import (
     BinOutOfRange,
     CapacityTooSmallForOneBatch,
@@ -73,7 +73,7 @@ def discard_probabilities(densities: np.ndarray, temperature: float) -> np.ndarr
     on the densest batch, ties resolving to the lowest index.  Large
     ``T`` approaches the uniform distribution.
     """
-    if temperature < 0:
+    if not temperature >= 0:
         raise NegativeTemperature(f"temperature must be nonnegative, got {temperature}")
     densities = np.asarray(densities, dtype=float)
     if densities.size == 0:
@@ -95,26 +95,57 @@ def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, probabilities.size - 1)
 
 
-def _space_matrices(pairwise, pred_metric: str, *tables) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction- and output-space distances over batch ``tables``.
+def _spaces(pred_metric: str) -> tuple[tuple[str, str], tuple[str, str]]:
+    """``(space, metric)`` of the prediction and the output comparison."""
+    return ("features" if pred_metric == "euclidean" else "pred", pred_metric), ("out", "jsd")
 
-    ``pairwise`` is :func:`distance_matrix` (one table, the self case) or
-    :func:`cross_distance_matrix` (current against reference).
+
+def _density_state(batches: BatchTable, bandwidth: float, pred_metric: str):
+    """A :class:`DensityState` over ``batches``, and each space's distinct rows.
+
+    Distances are computed between distinct rows only; returns the state
+    and, per space, ``(space, metric, first, types)`` as
+    :func:`~covmem.distances.distinct_rows` gives them.
     """
-    d_pred = pairwise(
-        *tables,
-        space="features" if pred_metric == "euclidean" else "pred",
-        metric=pred_metric,
-    )
-    return d_pred, pairwise(*tables, space="out")
+    spaces, tables = [], []
+    for space, metric in _spaces(pred_metric):
+        first, types = distinct_rows(batches, space, metric)
+        spaces.append((space, metric, first, types))
+        tables.append(distance_matrix(batches.take(first), space, metric))
+    state = DensityState(*tables, bandwidth, *(types for *_, types in spaces))
+    return state, spaces
 
 
-def _min_densities(pairwise, bandwidth: float, pred_metric: str, *tables) -> np.ndarray:
-    d_pred, d_out = _space_matrices(pairwise, pred_metric, *tables)
-    return np.minimum(kde(d_pred, bandwidth), kde(d_out, bandwidth))
+def _cross_density(batches, first, types, reference, space, metric, bandwidth):
+    """Density the ``reference`` table assigns to each batch of ``types``, in one space.
+
+    Distances run between the distinct rows present in ``types`` and the
+    reference's distinct rows; gathering them over the reference's types
+    gives each row of :func:`kde`'s full matrix bit for bit.
+    """
+    present = np.bincount(types, minlength=first.size) > 0
+    ref_first, ref_types = distinct_rows(reference, space, metric)
+    cross = cross_distance_matrix(batches.take(first[present]), reference.take(ref_first),
+                                  space, metric)
+    rho = kde(np.take(cross, ref_types, axis=1), bandwidth)
+    return rho[(np.cumsum(present) - 1)[types]]
 
 
-def _rci(rho_self: np.ndarray, rho_cross: np.ndarray) -> float:
+def _coverage_improvement(batches, state, spaces, reference, bandwidth) -> float:
+    """RCI of the state's active batches against ``reference``.
+
+    The self-densities come from the state's kernel tables, with no new
+    distance or exponential; the cross-densities from one rectangular
+    distance table per space.
+    """
+    if not reference:
+        return 1.0
+    active = state.active_indices
+    rho_cross = np.minimum(*(
+        _cross_density(batches, first, types[active], reference, space, metric, bandwidth)
+        for space, metric, first, types in spaces
+    ))
+    rho_self = np.minimum(*state.recompute())
     gains = np.maximum(rho_self - rho_cross, 0.0)
     return float(gains.sum() / rho_self.sum())
 
@@ -138,10 +169,8 @@ def rci(current: BatchTable, reference: BatchTable | None, bandwidth: float,
         raise EmptyCurrentSet("current batch set is empty")
     if not reference:
         return 1.0
-    return _rci(
-        _min_densities(distance_matrix, bandwidth, pred_metric, current),
-        _min_densities(cross_distance_matrix, bandwidth, pred_metric, current, reference),
-    )
+    state, spaces = _density_state(current, bandwidth, pred_metric)
+    return _coverage_improvement(current, state, spaces, reference, bandwidth)
 
 
 def retrain_decision(current: BatchTable, reference: BatchTable | None,
@@ -268,7 +297,7 @@ def select(
             f"(smallest is {sizes.min()}); whole-batch discards cannot reach it"
         )
 
-    state = DensityState(*_space_matrices(distance_matrix, pred_metric, batches), cfg.bandwidth)
+    state, spaces = _density_state(batches, cfg.bandwidth, pred_metric)
 
     trace: list[DiscardEvent] = []
     while total > cfg.capacity:
@@ -285,17 +314,11 @@ def select(
         state.remove_batch(j)
 
     # the RCI of the survivors, as rci(kept, reference) computes it, but
-    # with the self-densities read off the matrices the loop already holds
-    kept = batches.take(state.active_indices)
-    reference = memory.last_train_batches
-    if reference:
-        rci_value = _rci(
-            np.minimum(*state.recompute()),
-            _min_densities(cross_distance_matrix, cfg.bandwidth, pred_metric, kept, reference),
-        )
-    else:
-        rci_value = 1.0
+    # with the self-densities read off the tables the loop already holds
+    rci_value = _coverage_improvement(batches, state, spaces, memory.last_train_batches,
+                                      cfg.bandwidth)
     retrain = rci_value >= cfg.threshold
+    kept = batches.take(state.active_indices)
 
     kept_ids = np.sort(kept.member_ids)
     memory.replace_contents(pool.take(np.searchsorted(pool.arrival_index, kept_ids)))

@@ -6,7 +6,13 @@ only the traced run, so this test installs the span recorder with a
 probe that checks every name it is handed and wraps nothing.
 """
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from covmem import ReplayMemory, Sample, StrategyConfig, selection
+from covmem.density import DensityState
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -40,3 +46,42 @@ def test_every_wrapped_name_exists_and_is_callable():
     probe = ProbeRecorder()
     load_spans().install(probe)
     assert "covmem.selection.select" in probe.names
+
+
+def test_select_calls_each_timed_layer_once_per_unit_of_work(monkeypatch):
+    """Per-layer counts mean what they say: one removal per discard, one table per space.
+
+    ``density.removals`` counts ``DensityState.remove_batch`` calls, and
+    the traced split times distances at ``selection.distance_matrix``
+    and ``selection.cross_distance_matrix``.
+    """
+    calls = Counter()
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in ((selection, "distance_matrix"), (selection, "cross_distance_matrix"),
+                        (DensityState, "remove_batch")):
+        count(owner, attr)
+
+    rng = np.random.default_rng(0)
+    cfg = StrategyConfig(capacity=40, batch_size=4, k_pred=3, k_out=3)
+    memory = ReplayMemory(capacity=cfg.capacity)
+
+    def chunk(start):
+        return [Sample(features=rng.normal(size=2), output_bin=int(rng.integers(3)),
+                       prediction=rng.dirichlet(np.ones(3)), arrival_index=start + i)
+                for i in range(60)]
+
+    first = selection.select(memory, chunk(0), cfg, None, rng)
+    assert first.retrain and memory.last_train_batches
+    calls.clear()
+    outcome = selection.select(memory, chunk(60), cfg, None, rng)
+    assert outcome.trace
+    assert calls == {"remove_batch": len(outcome.trace), "distance_matrix": 2,
+                     "cross_distance_matrix": 2}

@@ -1,6 +1,9 @@
 import hashlib
 
+import pytest
+
 from covmem.cli import main
+from covmem.errors import BadFraction
 from covmem.samples import read_samples
 
 
@@ -67,6 +70,16 @@ def test_gen_output_matches_golden_digest(tmp_path, capsys):
         "--seed", "3", "--noise", "0.1",
     ]) == 0
     assert hashlib.sha256(pool.read_bytes()).hexdigest() == GOLDEN_GEN_NOISE
+
+
+@pytest.mark.parametrize("noise", ["-0.5", "nan", "1.5"])
+def test_gen_rejects_a_noise_fraction_outside_unit_interval(tmp_path, noise):
+    """A fraction it cannot apply fails before a file is written, not as a clean stream."""
+    pool = tmp_path / "pool.ndjson"
+    with pytest.raises(BadFraction, match="noise fraction"):
+        main(["gen", "--scenario", "rare_patterns", "--out", str(pool),
+              "--iterations", "2", "--samples-per-iteration", "200", "--noise", noise])
+    assert not pool.exists()
 
 
 def test_sweep_command(tmp_path, capsys):

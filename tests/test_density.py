@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from covmem import DensityState, kde
+from covmem import BatchTable, DensityState, distance_matrix, kde
+from covmem.distances import distinct_rows
 from covmem.errors import EmptyInput, LastBatch, NonPositiveBandwidth
 
 PEAK = 0.3989422804014327            # 1 / sqrt(2 pi)
@@ -108,6 +110,60 @@ class TestDensityState:
         """Removal cost must not grow with matrix size via copying."""
         rng = np.random.default_rng(6)
         state = random_state(rng, 10)
-        before_pred = state._d_pred
+        before_pred = state._kernel_pred
         state.remove_batch(4)
-        assert state._d_pred is before_pred
+        assert state._kernel_pred is before_pred
+
+
+def prediction_rows(rng, n, k, kind):
+    if kind == "point_mass":
+        return np.eye(k)[rng.integers(k, size=n)]
+    if kind == "dense":
+        return rng.dirichlet(np.ones(k), size=n)
+    palette = np.vstack([rng.dirichlet(np.full(k, 0.5), size=3), np.eye(k)[:2]])
+    return palette[rng.integers(len(palette), size=n)]
+
+
+class TestTablesOverDistinctRows:
+    """A state over distinct-row tables and types equals one over the full matrices."""
+
+    @given(st.integers(1, 40), st.sampled_from([2, 3, 21]),
+           st.sampled_from(["repeated", "point_mass", "dense"]),
+           st.sampled_from([0.05, 0.1, 0.5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_table_state_equals_matrix_state(self, n, k, kind, bandwidth, seed):
+        rng = np.random.default_rng(seed)
+        batches = BatchTable(member_ids=np.arange(n), size=np.ones(n, dtype=np.int64),
+                             pred_dist=prediction_rows(rng, n, k, kind),
+                             out_bin=rng.integers(k, size=n), mean_features=np.zeros((n, 1)))
+        tables, types, full = [], [], []
+        for space in ("pred", "out"):
+            first, space_types = distinct_rows(batches, space)
+            assert np.all(np.diff(first) > 0)
+            table = distance_matrix(batches.take(first), space)
+            # the gathered table is the full matrix, bit for bit
+            matrix = distance_matrix(batches, space)
+            np.testing.assert_array_equal(np.take(table[space_types], space_types, axis=1),
+                                          matrix)
+            tables.append(table)
+            types.append(space_types)
+            full.append(matrix)
+        from_tables = DensityState(*tables, bandwidth, *types)
+        from_matrices = DensityState(*full, bandwidth)
+        while True:
+            for got, want in ((from_tables.rho_pred, from_matrices.rho_pred),
+                              (from_tables.rho_out, from_matrices.rho_out),
+                              (from_tables.active_indices, from_matrices.active_indices),
+                              *zip(from_tables.recompute(), from_matrices.recompute())):
+                np.testing.assert_array_equal(got, want)
+            if from_tables.count == 1:
+                break
+            j = int(rng.integers(from_tables.count))
+            from_tables.remove_batch(j)
+            from_matrices.remove_batch(j)
+
+    def test_types_must_index_the_table(self):
+        with pytest.raises(ValueError):
+            DensityState(np.zeros((2, 2)), np.zeros((1, 1)), 0.1, [0, 2], [0, 0])
+        with pytest.raises(ValueError):
+            DensityState(np.zeros((2, 2)), np.zeros((1, 1)), 0.1, [0, 1, 1], [0, 0])

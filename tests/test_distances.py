@@ -20,7 +20,7 @@ from covmem import (
     jsd_pairwise,
     kl_divergence,
 )
-from covmem.distances import _SCRATCH, _euclidean_cross, _euclidean_pairwise
+from covmem.distances import _SCRATCH, _euclidean_cross, _euclidean_pairwise, distinct_rows
 from covmem.errors import EmptyInput, LengthMismatch, UndefinedDivergence
 
 def assert_distance_matrix(mat):
@@ -315,3 +315,22 @@ class TestBatchSpaces:
         with pytest.raises(EmptyInput):
             distance_matrix([])
 
+
+    def test_distinct_rows_merge_only_equal_rows_in_first_occurrence_order(self):
+        batches = BatchTable(
+            member_ids=np.arange(6),
+            size=np.ones(6, dtype=np.int64),
+            pred_dist=np.array([[0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [1.0, 0.0],
+                                [0.5, 0.5]]),
+            out_bin=np.array([3, 1, 3, 0, 1, 1]),
+            # -0.0 equals 0.0 as a value but not as bytes, so it stays its own row
+            mean_features=np.array([[0.0], [-0.0], [0.0], [1.0], [0.0], [-0.0]]),
+        )
+        for space, metric, first, types in [
+            ("pred", "jsd", [0, 1, 3], [0, 1, 0, 2, 1, 0]),
+            ("out", "jsd", [0, 1, 3], [0, 1, 0, 2, 1, 1]),
+            ("features", "euclidean", [0, 1, 3], [0, 1, 0, 2, 0, 1]),
+        ]:
+            got_first, got_types = distinct_rows(batches, space, metric)
+            np.testing.assert_array_equal(got_first, first)
+            np.testing.assert_array_equal(got_types, types)

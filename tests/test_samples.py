@@ -18,12 +18,15 @@ from covmem import (
 )
 from covmem.samples import PoolRows
 from covmem.errors import (
+    BadFraction,
     BinOutOfRange,
     EmptyInput,
     LengthMismatch,
     NegativeProbability,
+    NegativeTemperature,
     NonFiniteValue,
     NonNormalizedPrediction,
+    NonPositiveBandwidth,
 )
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -283,6 +286,22 @@ class TestStrategyConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             StrategyConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("bandwidth", math.nan, NonPositiveBandwidth),
+        ("bandwidth", 0.0, NonPositiveBandwidth),
+        ("bandwidth", -0.1, NonPositiveBandwidth),
+        ("temperature", math.nan, NegativeTemperature),
+        ("temperature", -0.1, NegativeTemperature),
+        ("threshold", math.nan, BadFraction),
+        ("threshold", -0.1, BadFraction),
+        ("threshold", 1.5, BadFraction),
+    ])
+    def test_rejects_nan_and_out_of_range_knobs_with_typed_errors(self, field, value, error):
+        """NaN fails like an out-of-range value, and every error is also a ValueError."""
+        assert issubclass(error, ValueError)
+        with pytest.raises(error, match=field):
+            StrategyConfig(capacity=10, batch_size=5, **{field: value})
 
 
 class TestRecords:
