@@ -25,7 +25,9 @@ are discarded, the exact identity
     rho'(t) = (n rho(t) - k(t, type(j))) / (n - 1),   k = E / sqrt(2 pi)
 
 updates every type at once, with no exponential: ``k`` is the
-normalized kernel value against the removed batch ``j``.  This is exact,
+normalized kernel value against the removed batch ``j``, one row of
+``E`` scaled when the removal needs it, so the state keeps ``E`` alone
+and no normalized copy of it.  This is exact,
 not an approximation; the tests hold it to the from-scratch
 recomputation at 1e-9.
 
@@ -48,9 +50,17 @@ def _check_bandwidth(bandwidth: float) -> None:
 
 
 def _kernel_table(distances: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Unnormalized Gaussian kernel of every entry, ``exp(-0.5 (d / h)^2)``."""
-    scaled = distances / bandwidth
-    return np.exp(-0.5 * scaled * scaled)
+    """Unnormalized Gaussian kernel of every entry, ``exp(-0.5 (d / h)^2)``.
+
+    Computed in one array as ``exp(-0.5 * (s * s))`` for ``s = d / h``.
+    That equals ``exp((-0.5 * s) * s)`` bit for bit: scaling by a power
+    of two commutes with rounding wherever the product is a normal
+    float, and where it is not, both exponentials are exactly 1.
+    """
+    table = np.divide(distances, bandwidth)
+    table *= table
+    table *= -0.5
+    return np.exp(table, out=table)
 
 
 def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -93,10 +103,11 @@ def _table_and_types(distances, types) -> tuple[np.ndarray, np.ndarray]:
 class DensityState:
     """Per-space densities of a batch set under whole-batch removal.
 
-    Holds each space's kernel table over distinct rows and the types of
-    the still-active batches.  Removal updates one density per type and
-    shifts the active batches' tail one place; the tables are never
-    copied.
+    Holds one kernel table ``E`` per space over its distinct rows, and
+    the types of the still-active batches.  A removal scales the removed
+    batch's row of ``E`` by ``1 / sqrt(2 pi)``, updates one density per
+    type with it and shifts the active batches' tail one place; the
+    tables are never copied.
 
     Parameters
     ----------
@@ -123,25 +134,32 @@ class DensityState:
         if types_out.shape[0] != n:
             raise LengthMismatch(f"batch counts differ: {n} vs {types_out.shape[0]}")
         self.bandwidth = float(bandwidth)
-        # E, for from-scratch row means, and K = E / sqrt(2 pi), for removals
         self._kernel_pred = _kernel_table(distances_pred, bandwidth)
         self._kernel_out = _kernel_table(distances_out, bandwidth)
-        self._removal_pred = _NORM * self._kernel_pred
-        self._removal_out = _NORM * self._kernel_out
         # rows: original position, prediction type, output type of each
         # active batch, in order; the first ``_count`` columns are live
         self._rows = np.stack([np.arange(n), types_pred, types_out])
         self._count = n
-        self._rho_pred = self._type_densities(self._kernel_pred, types_pred)
-        self._rho_out = self._type_densities(self._kernel_out, types_out)
+        # both spaces' type densities in one vector, so a removal scales
+        # them with one multiply and one divide
+        u_pred = self._kernel_pred.shape[0]
+        self._rho = np.concatenate([self._type_densities(self._kernel_pred, types_pred),
+                                    self._type_densities(self._kernel_out, types_out)])
+        self._rho_pred, self._rho_out = self._rho[:u_pred], self._rho[u_pred:]
 
     @staticmethod
     def _type_densities(kernel: np.ndarray, types: np.ndarray) -> np.ndarray:
         """Density of every type over the batches of ``types``.
 
         ``np.take`` along the columns returns a C-contiguous block, so
-        each row mean sums in batch order, as :func:`kde` does.
+        each row mean sums in batch order, as :func:`kde` does.  When
+        ``types`` is the identity that block is the table itself, which
+        is C-contiguous, and no copy is made.
         """
+        # n increasing types among the table's n columns are the identity
+        identity = types.shape[0] == kernel.shape[1] and bool(np.all(types[1:] > types[:-1]))
+        if identity and kernel.flags.c_contiguous:
+            return _NORM * kernel.mean(axis=1)
         return _NORM * np.take(kernel, types, axis=1).mean(axis=1)
 
     @property
@@ -183,12 +201,12 @@ class DensityState:
         if n == 1:
             raise LastBatch("cannot remove the only remaining batch")
         rows = self._rows
-        # (n rho - K[type of j]) / (n - 1), in place; the properties hand out copies
-        for rho, removal, t in ((self._rho_pred, self._removal_pred, rows[1, j]),
-                                (self._rho_out, self._removal_out, rows[2, j])):
-            rho *= n
-            rho -= removal[t]
-            rho /= n - 1
+        # (n rho - K[type of j]) / (n - 1) with K = E / sqrt(2 pi), in place;
+        # the properties hand out copies
+        self._rho *= n
+        self._rho_pred -= _NORM * self._kernel_pred[rows[1, j]]
+        self._rho_out -= _NORM * self._kernel_out[rows[2, j]]
+        self._rho /= n - 1
         rows[:, j:n - 1] = rows[:, j + 1:n]
         self._count = n - 1
 

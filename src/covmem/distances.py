@@ -15,14 +15,43 @@ value.
 
 Every matrix kernel, JSD and euclidean, square and rectangular, runs
 one row-block loop.  A block holds as many rows as fit ``_SCRATCH``
-(65,536) float64 elements at ``n_cols * k`` elements per row, at least
-one row, and is computed with ``out=`` ufuncs into scratch arrays
-allocated once per call and reused by every block.  Each scratch array
+(65,536) float64 elements at ``cols * k`` elements per row, at least
+one row, where ``cols`` is the block's column count: all columns in a
+rectangle, and in a square the columns from the block's first row on,
+so square blocks take more rows as they go down.  Each block is
+computed with ``out=`` ufuncs into scratch arrays allocated once per
+call and reused by every block.  Each scratch array
 is 512 KB, so a block's mixture, logarithms and products stay in a
 2 MB L2 cache instead of streaming ``block * n * k`` temporaries through
 memory.  Each pair sees the same elementwise operations and the same
 length-``k`` reduction whatever the block size, so the results do not
 depend on it bit for bit.
+
+The JSD block scratch is bin-major, shape ``(k, rows, cols)``: both
+inputs are transposed once per call to ``(k, n)``, and every step runs
+over contiguous per-bin planes: the mixture add, the logarithm, the
+``m log m`` product and the entropy sum.  The sum is then ``k - 1``
+in-place adds of whole planes instead of one short length-``k``
+reduction per pair, as a row-major ``(rows, cols, k)`` block needs.
+Each call checks its inputs once to skip work no pair needs:
+
+- when every entry is positive, every mixture is too, so the logarithm
+  runs unmasked, with no zero fill and no ``where=`` mask;
+- when every nonzero entry has magnitude in ``[2 tiny, max / 2]``
+  (``tiny`` the smallest normal float), the transposed rows are halved
+  once up front and a block's mixture is their plain sum.  Halving is
+  exact above the subnormal range and the sum cannot overflow, so
+  ``a / 2 + b / 2`` equals ``(a + b) / 2`` bit for bit.
+
+The entropy sum over the ``k`` planes is :func:`_plane_sum`: in-place
+plane adds in the order numpy's pairwise ``sum(axis=-1)`` adds a
+length-``k`` row, so the bin-major kernel returns the row-major one's
+bits.  That order is 8 accumulators, their fixed tree and then the tail
+in order for ``8 <= k <= 128``, a sequential sum below 8, and numpy's
+recursive split above 128; the result is added to ``0.0``, numpy's
+initial value of the reduction.  A test holds the helper to
+``np.add.reduce`` byte for byte for every ``k`` up to 300, so a change
+of numpy's order shows there first.
 
 Point masses need no entropy pass at all: two point masses are at
 distance exactly 0 in the same bin and exactly 1 in different bins.
@@ -55,6 +84,8 @@ __all__ = [
 ]
 
 _LOG2 = np.log(2.0)
+_TINY = np.finfo(float).tiny
+_HALF_MAX = np.finfo(float).max / 2
 # float64 elements per scratch array of a block kernel: 512 KB, so a
 # block's working set stays in a 2 MB L2 cache
 _SCRATCH = 1 << 16
@@ -111,19 +142,51 @@ def jsd(p, q) -> float:
     return float(np.sqrt(max(divergence, 0.0)))
 
 
-def _plogp_entropy(rows: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits along the last axis, with 0 log 0 = 0.
-
-    ``logs`` is scratch of the same shape as ``rows`` and must hold zeros
-    on entry: the logarithm leaves it untouched where ``rows`` is zero.
-    """
+def _entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each row, with 0 log 0 = 0."""
+    logs = np.zeros_like(rows)
     np.log(rows, out=logs, where=rows > 0)
     logs *= rows
     return -logs.sum(axis=-1) / _LOG2
 
 
-def _entropy_rows(rows: np.ndarray) -> np.ndarray:
-    return _plogp_entropy(rows, np.zeros_like(rows))
+def _pairwise_planes(planes: np.ndarray) -> None:
+    """Sum ``planes`` along its first axis into ``planes[0]``, in numpy's pairwise order."""
+    k = planes.shape[0]
+    if k < 8:
+        for i in range(1, k):
+            planes[0] += planes[i]
+    elif k <= 128:
+        # 8 accumulators, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail
+        stop = k - k % 8
+        acc = planes[:8]
+        for i in range(8, stop, 8):
+            acc += planes[i:i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+        for i in range(stop, k):
+            acc[0] += planes[i]
+    else:
+        half = k // 2
+        half -= half % 8
+        _pairwise_planes(planes[:half])
+        _pairwise_planes(planes[half:])
+        planes[0] += planes[half]
+
+
+def _plane_sum(planes: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` over the first axis of ``planes``, bit for bit, in place.
+
+    ``planes`` holds ``k`` bins along its first axis; the returned view
+    ``planes[0]`` equals ``np.add.reduce(x, axis=-1)`` for the same
+    values with the bins on the last axis.  The other planes are
+    overwritten.
+    """
+    _pairwise_planes(planes)
+    # the reduction starts from +0.0, which turns a -0.0 sum into 0.0
+    planes[0] += 0.0
+    return planes[0]
 
 
 def _point_mass_bins(rows: np.ndarray):
@@ -146,45 +209,94 @@ def _blocked(kernel, n_rows: int, n_cols: int, k: int, block, n_scratch: int,
     """Fill an ``(n_rows, n_cols)`` matrix one row block at a time.
 
     ``kernel(rows, cols, *scratch)`` returns the block of rows ``rows``
-    (a slice) against columns ``cols``, using ``n_scratch`` float arrays
-    of shape ``(block rows, block columns, k)`` as its working space.
-    The scratch is allocated once and reused by every block.  With
-    ``upper`` the matrix is square and symmetric: each block is computed
-    from its own first row onward and mirrored into the lower triangle,
-    and the diagonal is set to zero.
+    (a slice) against columns ``cols``, using ``n_scratch`` flat float
+    arrays of ``block rows * block columns * k`` elements as its working
+    space, which it shapes as it needs.  The scratch is allocated once
+    and reused by every block.  A block has ``block`` rows, or with
+    ``block=None`` as many as fit the scratch budget at its column count.
+    With ``upper`` the matrix is square and symmetric: each block is
+    computed from its own first row onward and mirrored into the lower
+    triangle, and the diagonal is set to zero.
     """
-    step = block or max(1, _SCRATCH // max(1, n_cols * k))
-    flat = [np.empty(min(step, n_rows) * n_cols * k) for _ in range(n_scratch)]
+    if block:
+        size = min(block, n_rows) * n_cols * k
+    else:
+        size = min(n_rows * n_cols * k, max(_SCRATCH, n_cols * k))
+    flat = [np.empty(size) for _ in range(n_scratch)]
     out = np.empty((n_rows, n_cols))
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
+    start = 0
+    while start < n_rows:
         lo = start if upper else 0
-        shape = (stop - start, n_cols - lo, k)
-        size = shape[0] * shape[1] * k
-        scratch = [buf[:size].reshape(shape) for buf in flat]
+        stop = min(start + (block or max(1, _SCRATCH // max(1, (n_cols - lo) * k))), n_rows)
+        size = (stop - start) * (n_cols - lo) * k
+        scratch = [buf[:size] for buf in flat]
         out[start:stop, lo:] = kernel(slice(start, stop), slice(lo, n_cols), *scratch)
         if upper:
             out[stop:, start:stop] = out[start:stop, stop:].T
+        start = stop
     if upper:
         np.fill_diagonal(out, 0.0)
     return out
 
 
+def _halves_exactly(rows: np.ndarray) -> bool:
+    """Whether ``a / 2 + b / 2 == (a + b) / 2`` bit for bit for any two entries.
+
+    True when every nonzero magnitude lies in ``[2 tiny, max / 2]``:
+    halving is then exact and the sum cannot overflow.
+    """
+    mag = np.abs(rows)
+    nonzero = mag[mag != 0]  # NaN stays and fails both bounds
+    return nonzero.size == 0 or bool(nonzero.min() >= 2 * _TINY and nonzero.max() <= _HALF_MAX)
+
+
 def _jsd_kernel(rows_a, rows_b, ent_a, ent_b):
-    """Block kernel of square-root JSD through the entropy identity."""
+    """Bin-major block kernel of square-root JSD through the entropy identity.
+
+    The rows are transposed to ``(k, n)`` once, and halved once when
+    that is exact for both inputs; see the module docstring.
+    """
+    inputs = (rows_a,) if rows_b is rows_a else (rows_a, rows_b)
+    positive = all((rows > 0).all() for rows in inputs)
+    halved = all(_halves_exactly(rows) for rows in inputs)
+
+    def bin_major(rows):
+        planes = rows.T.copy()
+        if halved:
+            planes *= 0.5
+        return planes
+
+    planes_a = bin_major(rows_a)
+    planes_b = planes_a if rows_b is rows_a else bin_major(rows_b)
+
     def kernel(rows, cols, mix, logs):
-        np.add(rows_a[rows, None, :], rows_b[None, cols, :], out=mix)
-        mix *= 0.5
-        logs.fill(0.0)
-        div = _plogp_entropy(mix, logs) - 0.5 * (ent_a[rows, None] + ent_b[None, cols])
-        return np.sqrt(np.maximum(div, 0.0))
+        a, b = planes_a[:, rows, None], planes_b[:, None, cols]
+        shape = (a.shape[0], a.shape[1], b.shape[2])
+        mix, logs = mix.reshape(shape), logs.reshape(shape)
+        np.add(a, b, out=mix)
+        if not halved:
+            mix *= 0.5
+        if positive:
+            np.log(mix, out=logs)
+        else:
+            logs.fill(0.0)
+            np.log(mix, out=logs, where=mix > 0)
+        logs *= mix
+        # the mixture's entropy in bits, -sum / log 2, minus the mean row entropy
+        div = np.negative(_plane_sum(logs), out=logs[0])
+        div /= _LOG2
+        div -= 0.5 * (ent_a[rows, None] + ent_b[None, cols])
+        np.maximum(div, 0.0, out=div)
+        return np.sqrt(div, out=div)
     return kernel
 
 
 def _euclidean_kernel(rows_a, rows_b):
     """Block kernel of the euclidean distance."""
     def kernel(rows, cols, diff):
-        np.subtract(rows_a[rows, None, :], rows_b[None, cols, :], out=diff)
+        a, b = rows_a[rows, None, :], rows_b[None, cols, :]
+        diff = diff.reshape(a.shape[0], b.shape[1], a.shape[2])
+        np.subtract(a, b, out=diff)
         diff *= diff
         return np.sqrt(diff.sum(axis=-1))
     return kernel
@@ -199,8 +311,9 @@ def jsd_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
         Shape ``(n, k)``, one distribution per row.
     block : int or None
         Rows per block.  ``None`` derives it from the scratch budget,
-        ``max(1, 65536 // (n * k))``, so the two ``block * n * k`` float
-        scratch arrays stay in cache; the results do not depend on it.
+        ``max(1, 65536 // (cols * k))`` for a block of ``cols``
+        columns, so the two float scratch arrays stay in cache; the
+        results do not depend on it.
 
     Returns
     -------

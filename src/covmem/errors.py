@@ -42,6 +42,14 @@ class UndefinedDivergence(CovmemError, ValueError):
     """KL divergence is undefined: p assigns mass where q has none."""
 
 
+class NonPositiveCount(CovmemError, ValueError):
+    """A count that must be positive (a capacity, batch size or bin count) is not."""
+
+
+class BatchExceedsCapacity(CovmemError, ValueError):
+    """A batch size exceeds the memory capacity, so whole-batch discards could not end."""
+
+
 class NonPositiveBandwidth(CovmemError, ValueError):
     """Kernel bandwidth must be strictly positive."""
 

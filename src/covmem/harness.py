@@ -106,6 +106,25 @@ class RunConfig:
         if self.input is not None and self.noise_fraction:
             raise ConfigError("noise_fraction needs a scenario to draw noise from; "
                               "file-based runs cannot inject it")
+        # the strategy knobs, checked by the StrategyConfig the run builds;
+        # a scenario derives the bin counts, so 1 stands in for them
+        try:
+            self._strategy_config(1 if self.k_pred is None else self.k_pred,
+                                 1 if self.k_out is None else self.k_out)
+        except ValueError as err:
+            raise ConfigError(f"bad strategy setting: {err}") from err
+
+    def _strategy_config(self, k_pred: int, k_out: int) -> StrategyConfig:
+        """The :class:`StrategyConfig` of this run over ``k_pred`` and ``k_out`` bins."""
+        return StrategyConfig(
+            capacity=self.capacity,
+            batch_size=self.batch_size,
+            bandwidth=self.bandwidth,
+            temperature=self.temperature,
+            threshold=self.threshold,
+            k_pred=k_pred,
+            k_out=k_out,
+        )
 
 
 @dataclass
@@ -300,15 +319,7 @@ def _stream_and_spec(config: RunConfig):
 def run(config: RunConfig) -> list[IterationReport]:
     """Execute one configured run; write reports if ``out_dir`` is set."""
     stream, spec, k_pred, k_out, n_classes = _stream_and_spec(config)
-    cfg = StrategyConfig(
-        capacity=config.capacity,
-        batch_size=config.batch_size,
-        bandwidth=config.bandwidth,
-        temperature=config.temperature,
-        threshold=config.threshold,
-        k_pred=k_pred,
-        k_out=k_out,
-    )
+    cfg = config._strategy_config(k_pred, k_out)
     predictor = _make_predictor(config.predictor, spec, k_pred)
     task = "regression" if (spec is not None and spec.regression) else "classification"
     strategy = make_strategy(

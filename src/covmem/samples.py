@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadFraction,
+    BatchExceedsCapacity,
     BinOutOfRange,
     CovmemError,
     EmptyInput,
@@ -33,6 +34,7 @@ from .errors import (
     NonFiniteValue,
     NonNormalizedPrediction,
     NonPositiveBandwidth,
+    NonPositiveCount,
 )
 
 __all__ = [
@@ -311,8 +313,8 @@ class ReplayMemory:
     last_train_batches: BatchTable | None = None
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+        if not self.capacity > 0:
+            raise NonPositiveCount(f"capacity must be positive, got {self.capacity}")
 
     @property
     def sample_count(self) -> int:
@@ -364,24 +366,24 @@ class StrategyConfig:
     k_out: int = 21
 
     def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        # written so that NaN fails every check
+        if not self.capacity > 0:
+            raise NonPositiveCount(f"capacity must be positive, got {self.capacity}")
+        if not self.batch_size > 0:
+            raise NonPositiveCount(f"batch_size must be positive, got {self.batch_size}")
         if self.batch_size > self.capacity:
-            raise ValueError(
+            raise BatchExceedsCapacity(
                 f"batch_size {self.batch_size} exceeds capacity {self.capacity}; "
                 "whole-batch discards could never terminate"
             )
-        # written so that NaN fails every check
         if not self.bandwidth > 0:
             raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.bandwidth}")
         if not self.temperature >= 0:
             raise NegativeTemperature(f"temperature must be nonnegative, got {self.temperature}")
         if not 0 <= self.threshold <= 1:
             raise BadFraction(f"threshold must lie in [0, 1], got {self.threshold}")
-        if self.k_pred <= 0 or self.k_out <= 0:
-            raise ValueError(
+        if not (self.k_pred > 0 and self.k_out > 0):
+            raise NonPositiveCount(
                 f"bin counts must be positive, got k_pred={self.k_pred} k_out={self.k_out}"
             )
 

@@ -78,12 +78,13 @@ def discard_probabilities(densities: np.ndarray, temperature: float) -> np.ndarr
     densities = np.asarray(densities, dtype=float)
     if densities.size == 0:
         raise EmptyInput("no densities to turn into discard probabilities")
-    out = np.zeros(densities.size)
     if temperature == 0.0:
+        out = np.zeros(densities.size)
         out[densities.argmax()] = 1.0
         return out
-    logits = (densities - densities.max()) / temperature
-    np.exp(logits, out=out)
+    out = densities - densities.max()
+    out /= temperature
+    np.exp(out, out=out)
     out /= out.sum()
     return out
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covmem import BatchTable, DensityState, distance_matrix, kde
+from covmem.density import _kernel_table
 from covmem.distances import distinct_rows
 from covmem.errors import EmptyInput, LastBatch, NonPositiveBandwidth
 
@@ -105,6 +106,28 @@ class TestDensityState:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             DensityState(np.zeros((2, 2)), np.zeros((3, 3)), bandwidth=0.1)
+
+    def test_fortran_ordered_matrix_gives_the_same_bits(self):
+        """Row means of a Fortran-ordered table sum in the C-ordered table's order."""
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0, 1, size=(40, 3))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        c_state = DensityState(d, d, bandwidth=0.2)
+        f_state = DensityState(np.asfortranarray(d), np.asfortranarray(d), bandwidth=0.2)
+        assert c_state.rho_pred.tobytes() == kde(d, 0.2).tobytes()
+        assert f_state.rho_pred.tobytes() == c_state.rho_pred.tobytes()
+        assert f_state.rho_out.tobytes() == c_state.rho_out.tobytes()
+
+    def test_kernel_table_equals_the_textbook_expression(self):
+        """``exp(-0.5 * (s * s))`` in one array equals ``exp(-0.5 * s * s)`` bit for bit."""
+        rng = np.random.default_rng(9)
+        tiny = np.finfo(float).tiny
+        d = np.concatenate([rng.uniform(0, 1, 2000), np.ldexp(1.0, np.arange(-1074, 1024, 3)),
+                            [0.0, -0.0, tiny, 2 * tiny, np.finfo(float).max, np.inf]])
+        with np.errstate(over="ignore"):
+            for h in (0.05, 0.1, 0.3, 1e-160, 1e160):
+                scaled = d / h
+                assert _kernel_table(d, h).tobytes() == np.exp(-0.5 * scaled * scaled).tobytes()
 
     def test_matrices_are_not_copied_on_removal(self):
         """Removal cost must not grow with matrix size via copying."""

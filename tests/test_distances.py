@@ -20,7 +20,14 @@ from covmem import (
     jsd_pairwise,
     kl_divergence,
 )
-from covmem.distances import _SCRATCH, _euclidean_cross, _euclidean_pairwise, distinct_rows
+from covmem.distances import (
+    _SCRATCH,
+    _euclidean_cross,
+    _euclidean_pairwise,
+    _halves_exactly,
+    _plane_sum,
+    distinct_rows,
+)
 from covmem.errors import EmptyInput, LengthMismatch, UndefinedDivergence
 
 def assert_distance_matrix(mat):
@@ -195,6 +202,97 @@ class TestHalfMatrixAndPointMassPaths:
     def test_scaled_one_hot_is_not_a_point_mass(self):
         rows = np.array([[2.0, 0.0], [0.0, 2.0]])
         assert np.array_equal(jsd_pairwise(rows), reference_jsd_pairwise(rows))
+
+
+class TestPlaneSum:
+    """The bin-major entropy sum adds in numpy's pairwise ``sum(axis=-1)`` order."""
+
+    @staticmethod
+    def values(rng, kind, shape):
+        if kind == "dense":
+            return rng.normal(size=shape) * np.exp(rng.normal(scale=10.0, size=shape))
+        if kind == "zeros":
+            x = rng.normal(size=shape)
+            x[rng.random(shape) < 0.5] = 0.0
+            return x
+        if kind == "subnormal":
+            # subnormals and the normal numbers just above them
+            x = np.ldexp(rng.uniform(-1.0, 1.0, size=shape), rng.integers(-1080, -1010, size=shape))
+            x[rng.random(shape) < 0.2] = np.finfo(float).tiny
+            return x
+        # signed zeros only: the sum's sign shows the reduction's initial value
+        return np.where(rng.random(shape) < 0.7, -0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["dense", "zeros", "subnormal", "signed_zeros"])
+    def test_equals_add_reduce_byte_for_byte(self, kind):
+        rng = np.random.default_rng(["dense", "zeros", "subnormal", "signed_zeros"].index(kind))
+        for k in range(1, 301):
+            for shape in ((3, 5, k), (1, 1, k), (4, k)):
+                x = self.values(rng, kind, shape)
+                want = np.add.reduce(x, axis=-1)
+                got = _plane_sum(np.ascontiguousarray(np.moveaxis(x, -1, 0)))
+                assert got.tobytes() == want.tobytes(), (kind, k, shape)
+
+    def test_all_negative_zeros_sum_to_positive_zero(self):
+        planes = np.full((21, 2, 3), -0.0)
+        assert not np.signbit(_plane_sum(planes)).any()
+
+
+def rows_of_kind(kind, n, k, seed):
+    """Distribution rows that take one branch of the bin-major kernel.
+
+    ``positive`` rows skip the log mask and are halved up front;
+    ``subnormal`` rows are positive but hold a subnormal entry, so they
+    skip the mask and are not halved; ``zeros`` rows hold zeros, so the
+    mask stays and they are halved; ``mixed`` stacks all three.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(k) * 2.0, size=n)
+    if kind in ("positive", "subnormal"):
+        rows = np.maximum(rows, 1e-12)
+    if kind == "subnormal":
+        rows[np.arange(n), rng.integers(k, size=n)] = 5e-321
+    if kind == "zeros":
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+    if kind == "mixed":
+        parts = [rows_of_kind(part, n, k, seed + i) for i, part in
+                 enumerate(("positive", "subnormal", "zeros"))]
+        rows = np.vstack(parts)[rng.permutation(3 * n)][:n]
+    return rows
+
+
+class TestBinMajorBranches:
+    """Every branch of the bin-major kernel equals the row-major reference bit for bit."""
+
+    kinds = st.sampled_from(["positive", "subnormal", "zeros", "mixed"])
+
+    @given(st.integers(1, 30), st.integers(1, 64), st.integers(1, 40), kinds,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_pairwise_equals_full_square_reference(self, n, k, block, kind, seed):
+        rows = rows_of_kind(kind, n, k, seed)
+        assert np.array_equal(jsd_pairwise(rows, block=block), reference_jsd_pairwise(rows, block))
+
+    @given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 64), kinds, kinds,
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_cross_equals_reference(self, n_a, n_b, k, kind_a, kind_b, seed):
+        rows_a = rows_of_kind(kind_a, n_a, k, seed)
+        rows_b = rows_of_kind(kind_b, n_b, k, seed + 7)
+        assert np.array_equal(jsd_cross(rows_a, rows_b), reference_jsd_cross(rows_a, rows_b))
+
+    def test_kinds_reach_their_branches(self):
+        for kind, positive, halved in (("positive", True, True), ("subnormal", True, False),
+                                       ("zeros", False, True)):
+            rows = rows_of_kind(kind, 50, 21, 3)
+            assert bool(np.all(rows > 0)) == positive, kind
+            assert _halves_exactly(rows) == halved, kind
+
+    def test_halving_needs_magnitudes_between_twice_tiny_and_half_max(self):
+        tiny, top = np.finfo(float).tiny, np.finfo(float).max
+        assert _halves_exactly(np.array([[0.0, -0.0, 2 * tiny, 1.0, -3.0, top / 2]]))
+        for bad in (tiny, 1.5 * tiny, 5e-324, top, np.inf, np.nan):
+            assert not _halves_exactly(np.array([[0.5, bad]])), bad
 
 
 class TestCacheSizedBlocks:

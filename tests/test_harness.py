@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,16 @@ from covmem import (
     run,
     sweep,
 )
-from covmem.errors import ConfigError, EmptyInput, UnbalancedEvalSet
+from covmem.errors import (
+    BadFraction,
+    BatchExceedsCapacity,
+    ConfigError,
+    EmptyInput,
+    NegativeTemperature,
+    NonPositiveBandwidth,
+    NonPositiveCount,
+    UnbalancedEvalSet,
+)
 
 
 class TestBalancedAccuracy:
@@ -101,6 +111,35 @@ class TestRunConfig:
                       **source)
 
 
+    @pytest.mark.parametrize("field, value, cause", [
+        ("capacity", 0, NonPositiveCount),
+        ("capacity", -5, NonPositiveCount),
+        ("batch_size", 0, NonPositiveCount),
+        ("batch_size", 11, BatchExceedsCapacity),
+        ("bandwidth", 0.0, NonPositiveBandwidth),
+        ("bandwidth", -0.1, NonPositiveBandwidth),
+        ("bandwidth", math.nan, NonPositiveBandwidth),
+        ("temperature", -0.01, NegativeTemperature),
+        ("temperature", math.nan, NegativeTemperature),
+        ("threshold", -0.1, BadFraction),
+        ("threshold", 1.5, BadFraction),
+        ("threshold", math.nan, BadFraction),
+    ])
+    def test_rejects_bad_strategy_knobs_at_construction(self, field, value, cause):
+        """A bad knob fails as a ConfigError chaining the StrategyConfig error, before any work."""
+        kwargs = dict(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns")
+        kwargs[field] = value
+        with pytest.raises(ConfigError, match=field) as info:
+            RunConfig(**kwargs)
+        assert isinstance(info.value.__cause__, cause)
+
+    def test_file_runs_check_their_bin_counts(self):
+        with pytest.raises(ConfigError, match="k_out") as info:
+            RunConfig(strategy="memento", capacity=10, batch_size=5, input="pool.ndjson",
+                      k_pred=3, k_out=0)
+        assert isinstance(info.value.__cause__, NonPositiveCount)
+
+
 class TestParseConfig:
     def write(self, tmp_path, text):
         path = tmp_path / "run.cfg"
@@ -144,6 +183,14 @@ class TestParseConfig:
         path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
                                     "capacity = 8\nbatch_size = 4\niterations = 0\n")
         with pytest.raises(ConfigError, match="iterations"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line", ["capacity = 0", "batch_size = 9", "bandwidth = nan",
+                                      "temperature = -1", "threshold = 2"])
+    def test_bad_strategy_knob_fails_at_parse(self, tmp_path, line):
+        path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
+                                    f"capacity = 8\nbatch_size = 4\n{line}\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
             parse_config(path)
 
     def test_noise_fraction_above_one_fails_at_parse(self, tmp_path):

@@ -19,6 +19,7 @@ from covmem import (
 from covmem.samples import PoolRows
 from covmem.errors import (
     BadFraction,
+    BatchExceedsCapacity,
     BinOutOfRange,
     EmptyInput,
     LengthMismatch,
@@ -27,6 +28,7 @@ from covmem.errors import (
     NonFiniteValue,
     NonNormalizedPrediction,
     NonPositiveBandwidth,
+    NonPositiveCount,
 )
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -108,6 +110,11 @@ class TestMixture:
 
 
 class TestReplayMemory:
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_rejects_a_capacity_below_one(self, capacity):
+        with pytest.raises(NonPositiveCount, match="capacity"):
+            ReplayMemory(capacity=capacity)
+
     def test_counts_and_replacement(self):
         mem = ReplayMemory(capacity=10)
         samples = [make_sample(i, output_bin=i % 3) for i in range(4)]
@@ -285,6 +292,19 @@ class TestStrategyConfig:
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
+            StrategyConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, error, field", [
+        (dict(capacity=0, batch_size=1), NonPositiveCount, "capacity"),
+        (dict(capacity=-3, batch_size=1), NonPositiveCount, "capacity"),
+        (dict(capacity=10, batch_size=0), NonPositiveCount, "batch_size"),
+        (dict(capacity=10, batch_size=11), BatchExceedsCapacity, "batch_size"),
+        (dict(capacity=10, batch_size=5, k_pred=0), NonPositiveCount, "k_pred"),
+        (dict(capacity=10, batch_size=5, k_out=-1), NonPositiveCount, "k_out"),
+    ])
+    def test_rejects_bad_counts_with_typed_errors(self, kwargs, error, field):
+        assert issubclass(error, ValueError)
+        with pytest.raises(error, match=field):
             StrategyConfig(**kwargs)
 
     @pytest.mark.parametrize("field, value, error", [
