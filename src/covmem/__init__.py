@@ -14,7 +14,6 @@ from .samples import (
     mixture,
     read_samples,
     validate_distribution,
-    validate_sample,
     write_samples,
 )
 from .distances import (
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchTable", "ReplayMemory", "Sample", "SamplePool", "StrategyConfig",
-    "mixture", "validate_distribution", "validate_sample",
+    "mixture", "validate_distribution",
     "read_samples", "write_samples",
     "kl_divergence", "jsd", "jsd_pairwise", "jsd_cross", "distance_matrix",
     "cross_distance_matrix",

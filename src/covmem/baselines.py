@@ -18,7 +18,6 @@ Available kinds:
 ``qbc``                keep the samples a model committee disagrees on
 """
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .errors import (
     NotClassification,
 )
 from .predictors import Predictor
-from .samples import ReplayMemory, Sample, SamplePool, StrategyConfig
+from .samples import ReplayMemory, SamplePool, StrategyConfig
 
 __all__ = ["SelectionStrategy", "CoverageStrategy", "RandomStrategy", "FifoStrategy",
            "PriorityStrategy", "LarsStrategy", "QbcStrategy", "make_strategy",
@@ -47,17 +46,15 @@ class SelectionStrategy(ABC):
     """One policy for maintaining a bounded replay memory."""
 
     @abstractmethod
-    def select(self, memory: ReplayMemory, new_samples: Sequence[Sample],
-               cfg: StrategyConfig, predictor, rng: np.random.Generator
-               ) -> selection.SelectionOutcome:
+    def select(self, memory: ReplayMemory, new_samples, cfg: StrategyConfig, predictor,
+               rng: np.random.Generator) -> selection.SelectionOutcome:
         """Update ``memory`` with ``new_samples``; return what happened.
 
-        ``new_samples`` is any sequence of :class:`~covmem.samples.Sample`
-        rows with arrival indices new to the memory; every built-in
-        strategy takes it in through :func:`~covmem.selection.ingest`,
-        which stacks it once, or not at all for the pool-backed chunks
-        that :func:`~covmem.workloads.generate` yields, and rejects bad
-        input with a typed error before the memory changes.
+        ``new_samples`` is a :class:`~covmem.samples.SamplePool` or
+        :class:`~covmem.samples.Sample` rows, with arrival indices new to
+        the memory.  Every built-in strategy takes it in through
+        :func:`~covmem.selection.ingest`, which rejects bad input with a
+        typed error before the memory changes.
         """
 
     def on_retrain(self, train: SamplePool, rng: np.random.Generator) -> None:

@@ -11,7 +11,7 @@ import argparse
 from dataclasses import replace
 
 from .harness import parse_config, run, scenario_stream, sweep
-from .samples import write_samples
+from .samples import SamplePool, write_samples
 from .workloads import SCENARIO_KINDS
 
 __all__ = ["main"]
@@ -74,9 +74,9 @@ def _cmd_gen(args) -> int:
         args.scenario, args.seed, args.noise, iterations=args.iterations,
         samples_per_iteration=args.samples_per_iteration, stationary=args.stationary,
     )
-    samples = [s for chunk in stream for s in chunk]
-    write_samples(args.out, samples)
-    print(f"wrote {len(samples)} samples ({spec.iterations} iterations) to {args.out}")
+    pool = SamplePool.concat(SamplePool.from_samples(chunk) for chunk in stream)
+    write_samples(args.out, pool)
+    print(f"wrote {len(pool)} samples ({spec.iterations} iterations) to {args.out}")
     return 0
 
 

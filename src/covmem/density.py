@@ -37,16 +37,12 @@ densities equal :func:`kde` of the full ``n x n`` matrix bit for bit.
 """
 import numpy as np
 
-from .errors import EmptyInput, LastBatch, LengthMismatch, NonPositiveBandwidth
+from .errors import EmptyInput, LastBatch, LengthMismatch
+from .samples import _check_bandwidth
 
 __all__ = ["kde", "DensityState"]
 
 _NORM = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _check_bandwidth(bandwidth: float) -> None:
-    if not bandwidth > 0:
-        raise NonPositiveBandwidth(f"bandwidth must be positive, got {bandwidth}")
 
 
 def _kernel_table(distances: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -73,7 +69,7 @@ def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
         the usual in-set density; a rectangular matrix evaluates the
         density of ``n`` query points against a reference set of ``m``.
     bandwidth : float
-        Kernel width ``h``; must be positive.
+        Kernel width ``h``; must be positive and finite.
 
     Returns
     -------

@@ -51,7 +51,7 @@ class BatchExceedsCapacity(CovmemError, ValueError):
 
 
 class NonPositiveBandwidth(CovmemError, ValueError):
-    """Kernel bandwidth must be strictly positive."""
+    """Kernel bandwidth must be strictly positive and finite."""
 
 
 class NegativeTemperature(CovmemError, ValueError):

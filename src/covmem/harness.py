@@ -13,7 +13,8 @@ its own file rather than poisoning the reproducibility of the report.
 import csv
 import re
 import time
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if not np.isfinite(self.separation):
+            raise ConfigError(f"separation must be finite, got {self.separation}")
         if self.input is not None and (self.k_pred is None or self.k_out is None):
             raise ConfigError("file-based runs must set k_pred and k_out")
         if not 0.0 <= self.noise_fraction <= 1.0:
@@ -149,35 +152,26 @@ class IterationReport:
 # mirror the RunConfig fields one to one.
 
 _COMMENT = re.compile(r"(?:^|\s)#")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
-_BOOL_KEYS = {"stationary", "snapshots"}
-_INT_KEYS = {"capacity", "batch_size", "iterations", "samples_per_iteration",
-             "feature_dim", "committee_size", "seed", "k_pred", "k_out",
-             "retrain_every", "eval_per_class"}
-_FLOAT_KEYS = {"separation", "noise_fraction", "bandwidth", "temperature", "threshold"}
-_STR_KEYS = {"strategy", "scenario", "input", "predictor", "qbc_vote", "retrain", "out_dir"}
-_ALL_KEYS = _BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+
+def _key_types() -> dict:
+    """Each config key's type: its :class:`RunConfig` field's, with ``X | None`` read as ``X``."""
+    return {f.name: (typing.get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
 
 
 def coerce_value(key: str, raw: str):
     """Parse one config value according to its key's declared type."""
+    kind = _key_types().get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
     raw = raw.strip()
     try:
-        if key in _BOOL_KEYS:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
+        if kind is bool and raw.lower() not in _BOOLEANS:
             raise ValueError(f"not a boolean: {raw!r}")
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _STR_KEYS:
-            return raw
+        return _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
     except ValueError as err:
         raise ConfigError(f"bad value for {key}: {err}") from err
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config(path) -> RunConfig:
@@ -191,7 +185,7 @@ def parse_config(path) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in _key_types():
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = coerce_value(key, raw)
     missing = {"strategy", "capacity", "batch_size"} - values.keys()
@@ -305,12 +299,11 @@ def _stream_and_spec(config: RunConfig):
             stationary=config.stationary,
         )
         return stream, spec, spec.k_pred, spec.k_out, spec.n_classes
-    # stacked once; each chunk is pool-backed rows, which both the
-    # strategy's select and the evaluation take without stacking again
-    pool = SamplePool.from_samples(read_samples(config.input, config.k_pred, config.k_out))
+    # each chunk is a pool, which both the strategy's select and the evaluation take
+    pool = read_samples(config.input, config.k_pred, config.k_out)
     spi = config.samples_per_iteration or len(pool)
     starts = range(0, len(pool), spi)[: config.iterations]
-    chunks = (pool.take(slice(i, i + spi)).rows() for i in starts)
+    chunks = (pool.take(slice(i, i + spi)) for i in starts)
     tagged = bool((pool.workload >= 0).any())
     n_classes = int(pool.workload.max()) + 1 if tagged else config.k_out
     return chunks, None, config.k_pred, config.k_out, n_classes
@@ -352,14 +345,13 @@ def run(config: RunConfig) -> list[IterationReport]:
             predictor = predictor.fit(train)
             strategy.on_retrain(train, rng)
             if out_dir is not None and config.snapshots:
-                write_samples(out_dir / f"memory_{t:04d}.ndjson", train.rows())
+                write_samples(out_dir / f"memory_{t:04d}.ndjson", train)
 
         if spec is not None:
             scored = eval_set(spec, t, config.eval_per_class, config.seed)
         else:
             scored = new_samples  # file-based pools have no held-out set
-        acc, p99, mean_ls, p1_ls = _evaluate(predictor, SamplePool.from_samples(scored),
-                                             spec, n_classes)
+        acc, p99, mean_ls, p1_ls = _evaluate(predictor, scored, spec, n_classes)
         counts = memory.class_counts(n_classes, by="workload" if spec is not None else "output_bin")
         reports.append(IterationReport(
             iteration=t,
@@ -407,10 +399,10 @@ def sweep(config: RunConfig, param: str, values: list[str]) -> dict[str, list[It
     """Run the base config once per value of one swept parameter.
 
     Each run writes into ``<out_dir>/<param>=<value>/``.  Values arrive
-    as strings (straight off a command line) and are coerced by the
-    config key table.
+    as strings (straight off a command line) and are coerced to the
+    swept field's type.
     """
-    if param not in _ALL_KEYS or param == "out_dir":
+    if param not in _key_types() or param == "out_dir":
         raise ConfigError(f"cannot sweep key {param!r}")
     if not values:
         raise ConfigError("sweep needs at least one value")

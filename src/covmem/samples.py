@@ -1,19 +1,16 @@
 """Core data model: samples, sample pools, batch tables, the replay memory, and record I/O.
 
-A :class:`SamplePool` is the working representation: one array per
-field, one row per sample.  :class:`Sample` is the row type at the API
-edge, for streams handed to ``select`` and for NDJSON records: an
-immutable named tuple, compared and hashed by identity.
-:meth:`SamplePool.rows` builds the rows without running Python code per
-row and returns :class:`PoolRows`, rows that carry the pool they were
-cut from, so handing them back to :meth:`SamplePool.from_samples` costs
-nothing.  A :class:`BatchTable` holds the batches of one coverage
-``select`` call as columns, one row per batch, and the memory keeps one
-as its retrain reference; the memory itself holds a pool, not batches.
-Categorical distributions are plain 1-D ``numpy`` arrays that sum to one.
-No wrapper class is used; :func:`validate_distribution` checks one
-vector, and ``selection.ingest`` checks a chunk's prediction rows
-against the same contract.
+A :class:`SamplePool` holds samples as columns, one array per field, and
+the package's producers and consumers all take and return pools.
+:class:`Sample` is the row type at the API edge, an immutable named
+tuple compared and hashed by identity, built only for the chunks a
+stream yields (:class:`PoolRows`); :meth:`SamplePool.from_samples` is
+the one edge back.  A :class:`BatchTable` holds the batches of one
+coverage ``select`` call as columns, one row per batch, and the memory
+keeps one as its retrain reference.  Categorical distributions are
+plain 1-D ``numpy`` arrays that sum to one: :func:`validate_distribution`
+checks one vector, and ``selection.ingest`` and :func:`read_samples`
+check a pool's columns against the same contract.
 """
 import json
 from dataclasses import dataclass, field, fields
@@ -26,7 +23,6 @@ from .errors import (
     BadFraction,
     BatchExceedsCapacity,
     BinOutOfRange,
-    CovmemError,
     EmptyInput,
     LengthMismatch,
     NegativeProbability,
@@ -47,7 +43,6 @@ __all__ = [
     "mixture",
     "require_finite",
     "validate_distribution",
-    "validate_sample",
     "read_samples",
     "write_samples",
 ]
@@ -109,6 +104,10 @@ class Sample(NamedTuple):
 # Builds a Sample from one tuple of field values in C: no Python frame per row.
 _new_row = partial(tuple.__new__, Sample)
 
+# The dtype of each column that holds one value per sample.
+_SCALAR_DTYPES = {"output_bin": np.int64, "arrival_index": np.int64, "raw_output": float,
+                  "loss": float, "stalled": bool, "workload": np.int64, "noise": bool}
+
 
 @dataclass(frozen=True, eq=False)
 class SamplePool:
@@ -145,40 +144,21 @@ class SamplePool:
 
     @classmethod
     def empty(cls) -> "SamplePool":
-        return cls(
-            features=np.empty((0, 0)),
-            prediction=np.empty((0, 0)),
-            output_bin=np.empty(0, dtype=np.int64),
-            arrival_index=np.empty(0, dtype=np.int64),
-            raw_output=np.empty(0),
-            loss=np.empty(0),
-            stalled=np.empty(0, dtype=bool),
-            workload=np.empty(0, dtype=np.int64),
-            noise=np.empty(0, dtype=bool),
-        )
+        return cls(features=np.empty((0, 0)), prediction=np.empty((0, 0)),
+                   **{name: np.empty(0, dtype) for name, dtype in _SCALAR_DTYPES.items()})
 
     @classmethod
     def from_samples(cls, samples) -> "SamplePool":
-        """Stack a sequence of :class:`Sample` rows into columns, in order.
+        """``samples`` as a pool: the one place :class:`Sample` rows are stacked.
 
-        :class:`PoolRows` are not stacked: their pool comes back as is.
+        A pool comes back unchanged and :class:`PoolRows` hand over their
+        pool; any other sequence of rows is stacked into columns, in order.
         """
+        if isinstance(samples, SamplePool):
+            return samples
         if isinstance(samples, PoolRows):
             return samples.pool
-        if not samples:
-            return cls.empty()
-        # A float array stores a None loss as NaN.
-        return cls(
-            features=_stack_rows([s.features for s in samples], "features"),
-            prediction=_stack_rows([s.prediction for s in samples], "prediction"),
-            output_bin=np.array([s.output_bin for s in samples], dtype=np.int64),
-            arrival_index=np.array([s.arrival_index for s in samples], dtype=np.int64),
-            raw_output=np.array([s.raw_output for s in samples], dtype=float),
-            loss=np.array([s.loss for s in samples], dtype=float),
-            stalled=np.array([s.stalled for s in samples], dtype=bool),
-            workload=np.array([s.workload for s in samples], dtype=np.int64),
-            noise=np.array([s.noise for s in samples], dtype=bool),
-        )
+        return _stack_fields(samples) if samples else cls.empty()
 
     @classmethod
     def concat(cls, pools) -> "SamplePool":
@@ -250,14 +230,36 @@ class PoolRows(tuple):
     pool: SamplePool
 
 
-def _stack_rows(rows: list, column: str) -> np.ndarray:
-    """Stack equal-length rows into a 2-D column; unequal lengths raise :class:`LengthMismatch`."""
+def _stack_fields(rows, dtype=None) -> SamplePool:
+    """A pool of tuples in :class:`Sample` field order, with vectors of ``dtype``.
+
+    A float column stores a ``None`` loss as NaN.
+    """
+    return SamplePool(**{
+        name: np.array(values, dtype=_SCALAR_DTYPES[name]) if name in _SCALAR_DTYPES
+        else _stack_rows(values, name, dtype)
+        for name, values in zip(Sample._fields, zip(*rows))
+    })
+
+
+def _stack_rows(rows, column: str, dtype=None) -> np.ndarray:
+    """Stack rows into a 2-D column.
+
+    Rows of unequal lengths raise :class:`LengthMismatch`, rows that are
+    not nonempty vectors :class:`EmptyInput`, and entries that do not
+    convert to ``dtype`` ``ValueError``.
+    """
     # np.array stacks rows faster than np.stack and still rejects ragged rows.
     try:
-        return np.array(rows)
-    except ValueError:
-        lengths = sorted({len(r) for r in rows})
-        raise LengthMismatch(f"{column} lengths differ within one pool: {lengths}") from None
+        matrix = np.array(rows, dtype=dtype)
+    except (TypeError, ValueError) as err:
+        lengths = sorted({np.size(r) if np.ndim(r) == 1 else -1 for r in rows})
+        if len(lengths) > 1:
+            raise LengthMismatch(f"{column} lengths differ within one pool: {lengths}") from None
+        raise ValueError(f"{column}: {err}") from err
+    if matrix.ndim != 2 or not matrix.shape[1]:
+        raise EmptyInput(f"{column} must be nonempty vectors, got shape {matrix.shape}")
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,8 +378,7 @@ class StrategyConfig:
                 f"batch_size {self.batch_size} exceeds capacity {self.capacity}; "
                 "whole-batch discards could never terminate"
             )
-        if not self.bandwidth > 0:
-            raise NonPositiveBandwidth(f"bandwidth must be positive, got {self.bandwidth}")
+        _check_bandwidth(self.bandwidth)
         if not self.temperature >= 0:
             raise NegativeTemperature(f"temperature must be nonnegative, got {self.temperature}")
         if not 0 <= self.threshold <= 1:
@@ -389,6 +390,11 @@ class StrategyConfig:
 
 
 # Distribution helpers ----------------------------------------------------
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    if not 0 < bandwidth < np.inf:  # an infinite bandwidth makes every density equal
+        raise NonPositiveBandwidth(f"bandwidth must be positive and finite, got {bandwidth}")
 
 
 def require_finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -440,23 +446,6 @@ def _check_distribution_rows(rows: np.ndarray, what: str) -> None:
         )
 
 
-def validate_sample(sample: Sample, k_pred: int | None, k_out: int | None) -> Sample:
-    """Raise if ``sample`` violates the data-model contract, else return it.
-
-    A ``None`` bin count leaves that size or range unchecked; the
-    features must be finite and the prediction a finite distribution
-    either way.
-    """
-    require_finite(sample.features, "features")
-    validate_distribution(sample.prediction, k_pred)
-    if k_out is not None and not 0 <= sample.output_bin < k_out:
-        raise BinOutOfRange(
-            f"output_bin {sample.output_bin} outside [0, {k_out}) "
-            f"for sample {sample.arrival_index}"
-        )
-    return sample
-
-
 def mixture(predictions) -> np.ndarray:
     """Average a collection of categorical distributions.
 
@@ -487,64 +476,84 @@ def mixture(predictions) -> np.ndarray:
 # One JSON object per line.  Fixed fields: features, output_bin,
 # raw_output, prediction, stalled.  Extra fields (loss, workload, noise)
 # are written only when informative and ignored by readers that do not
-# know them; arrival_index is the line number, never serialized.
+# know them; arrival_index is the record count, never serialized.
 
 
 def write_samples(path, samples) -> None:
-    """Write samples as newline-delimited records, one per line."""
+    """Write a pool, or rows (see :meth:`SamplePool.from_samples`), one record per line."""
+    pool = SamplePool.from_samples(samples)
+    columns = zip(pool.features.astype(float, copy=False).tolist(), pool.output_bin.tolist(),
+                  pool.raw_output.tolist(), pool.prediction.astype(float, copy=False).tolist(),
+                  pool.stalled.tolist(), pool.loss.tolist(), pool.workload.tolist(),
+                  pool.noise.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            record = {
-                "features": [float(v) for v in s.features],
-                "output_bin": int(s.output_bin),
-                "raw_output": float(s.raw_output),
-                "prediction": [float(v) for v in s.prediction],
-                "stalled": int(s.stalled),
-            }
-            if s.loss is not None:
-                record["loss"] = float(s.loss)
-            if s.workload >= 0:
-                record["workload"] = int(s.workload)
-            if s.noise:
+        for (features, output_bin, raw_output, prediction, stalled,
+             loss, workload, noise) in columns:
+            record = {"features": features, "output_bin": output_bin, "raw_output": raw_output,
+                      "prediction": prediction, "stalled": int(stalled)}
+            if loss == loss:  # NaN: unscored
+                record["loss"] = loss
+            if workload >= 0:
+                record["workload"] = workload
+            if noise:
                 record["noise"] = 1
             fh.write(json.dumps(record) + "\n")
 
 
-def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> list[Sample]:
-    """Parse a sample-record file back into :class:`Sample` objects.
+def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> SamplePool:
+    """Parse a sample-record file into a :class:`SamplePool`.
 
-    Arrival indices are assigned from line order.  Unknown fields are
-    ignored; a missing mandatory field raises ``ValueError`` naming the
-    offending line.  Every record is validated on the way in: its
-    features must be finite (JSON's ``NaN`` and ``Infinity`` literals
-    raise :class:`NonFiniteValue`) and its prediction a finite
-    distribution, of ``k_pred`` bins and with ``output_bin`` in
-    ``[0, k_out)`` when those are given.
+    Arrival indices count the records, skipping blank lines.  Unknown
+    fields are ignored; a missing ``loss`` reads NaN.  An unparsable
+    record raises ``ValueError``.  The columns must hold finite features
+    of one length and finite distributions of one length, with
+    ``k_pred`` bins and ``output_bin`` in ``[0, k_out)`` when given.
+    Each error is the first bad record's, and names its line.
     """
-    out = []
+    records, lines, unreadable = [], [], None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                sample = Sample(
-                    features=np.asarray(record["features"], dtype=float),
-                    output_bin=int(record["output_bin"]),
-                    prediction=np.asarray(record["prediction"], dtype=float),
-                    arrival_index=len(out),
-                    raw_output=float(record["raw_output"]),
-                    loss=float(record["loss"]) if "loss" in record else None,
-                    stalled=bool(record.get("stalled", 0)),
-                    workload=int(record.get("workload", -1)),
-                    noise=bool(record.get("noise", 0)),
-                )
-            except (KeyError, json.JSONDecodeError, TypeError) as err:
-                raise ValueError(f"bad sample record on line {lineno + 1}: {err}") from err
+                r = json.loads(line)
+                # in Sample field order; the arrival index counts the records
+                records.append((r["features"], int(r["output_bin"]), r["prediction"],
+                                len(records), float(r["raw_output"]),
+                                float(r.get("loss", np.nan)), bool(r.get("stalled", 0)),
+                                int(r.get("workload", -1)), bool(r.get("noise", 0))))
+            except (KeyError, TypeError, ValueError) as err:
+                unreadable = (lineno, err)  # raised once the records before it pass
+                break
+            lines.append(lineno)
+    try:
+        pool = _checked_records(records, k_pred, k_out)
+    except ValueError:
+        # the first bad record fails alone or against the first record's lengths
+        for i, line in enumerate(lines):
             try:
-                validate_sample(sample, k_pred, k_out)
-            except CovmemError as err:
-                raise type(err)(f"bad sample record on line {lineno + 1}: {err}") from err
-            out.append(sample)
-    return out
+                for rows in (records[i:i + 1], records[:1] + records[i:i + 1]):
+                    _checked_records(rows, k_pred, k_out)
+            except ValueError as err:
+                raise type(err)(f"bad sample record on line {line}: {err}") from err
+        raise
+    if unreadable is not None:
+        lineno, err = unreadable
+        raise ValueError(f"bad sample record on line {lineno}: {err}") from err
+    return pool
+
+
+def _checked_records(records: list, k_pred: int | None, k_out: int | None) -> SamplePool:
+    """The pool of parsed records, once its columns meet the data-model contract."""
+    if not records:
+        return SamplePool.empty()
+    pool = _stack_fields(records, float)
+    require_finite(pool.features, "features")
+    if k_pred is not None and pool.prediction.shape[1] != k_pred:
+        raise LengthMismatch(f"expected {k_pred} bins, got {pool.prediction.shape[1]}")
+    _check_distribution_rows(pool.prediction, "prediction")
+    if k_out is not None:
+        outside = pool.output_bin[(pool.output_bin < 0) | (pool.output_bin >= k_out)]
+        if outside.size:
+            raise BinOutOfRange(f"output_bin {outside[0]} outside [0, {k_out})")
+    return pool

@@ -9,7 +9,6 @@ same densities feed the retraining trigger: when the kept set covers
 regions the last training set did not, the coverage improvement ratio
 crosses its threshold and the caller should retrain.
 """
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from .predictors import with_losses
 from .samples import (
     BatchTable,
     ReplayMemory,
-    Sample,
     SamplePool,
     StrategyConfig,
     _check_distribution_rows,
@@ -186,16 +184,16 @@ def retrain_decision(current: BatchTable, reference: BatchTable | None,
     return value >= threshold, value
 
 
-def ingest(memory: ReplayMemory, new_samples: Sequence[Sample], cfg: StrategyConfig,
+def ingest(memory: ReplayMemory, new_samples, cfg: StrategyConfig,
            predictor, scored: bool = False) -> SamplePool:
     """The memory's residents followed by a chunk's arrivals: what a strategy selects from.
 
-    The chunk is stacked once (:class:`~covmem.samples.PoolRows` hand
-    over their pool), re-predicted by ``predictor`` and, with
-    ``scored``, given losses.  The arrivals then follow the residents
-    in arrival order.  This is the boundary every strategy takes input
-    through, so the chunk is checked here, and a chunk that fails a
-    check leaves the memory as it was:
+    The chunk, a pool or rows, is taken as a pool by
+    :meth:`~covmem.samples.SamplePool.from_samples`, re-predicted by
+    ``predictor`` and, with ``scored``, given losses.  The arrivals then
+    follow the residents in arrival order.  This is the boundary every
+    strategy takes input through, so the chunk is checked here, and a
+    chunk that fails a check leaves the memory as it was:
 
     - features must be finite (:class:`~covmem.errors.NonFiniteValue`);
     - output bins must lie in ``[0, cfg.k_out)``
@@ -242,7 +240,7 @@ def ingest(memory: ReplayMemory, new_samples: Sequence[Sample], cfg: StrategyCon
 
 def select(
     memory: ReplayMemory,
-    new_samples: Sequence[Sample],
+    new_samples,
     cfg: StrategyConfig,
     predictor,
     rng: np.random.Generator,
@@ -256,12 +254,10 @@ def select(
         Mutated in place: afterwards its pool holds the surviving
         samples, and on retraining ``last_train_batches`` holds the
         table of surviving batches as the new reference set.
-    new_samples : sequence of Sample
-        Fresh arrivals, stacked into a :class:`SamplePool` once and
-        checked (see :func:`ingest`); the chunks of
-        :func:`~covmem.workloads.generate` carry their pool and are not
-        stacked at all.  Their predictions are overwritten by
-        ``predictor`` on the way in; in-memory samples keep the
+    new_samples : SamplePool or sequence of Sample
+        Fresh arrivals, taken as a pool and checked (see :func:`ingest`);
+        only plain rows are stacked.  Their predictions are overwritten
+        by ``predictor`` on the way in; in-memory samples keep the
         predictions they arrived with.  Arrival indices must be new: one
         already in the chunk or in memory raises
         :class:`~covmem.errors.RepeatedArrival`.

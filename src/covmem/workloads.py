@@ -8,9 +8,9 @@ classes mix.  Three builders cover the drift shapes of interest:
 ``incremental``     classes appear one after another in disjoint phases
 ``gradual_drift``   all classes always present, output scale creeps up
 
-Streams yield one chunk of samples per iteration: pool-backed
-:class:`~covmem.samples.Sample` rows (:class:`~covmem.samples.PoolRows`)
-that hand their columns to ``select`` without being stacked again.
+Samples are drawn as :class:`~covmem.samples.SamplePool` columns, and
+evaluation sets are pools.  Streams yield one chunk per iteration as
+:class:`~covmem.samples.PoolRows`, the one place rows are built.
 Arrival indices are a single global counter so strategies can
 reconstruct stream position.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFraction, BadSchedule
-from .samples import PoolRows, SamplePool
+from .samples import SamplePool
 
 __all__ = [
     "ScenarioSpec",
@@ -241,11 +241,11 @@ def _uniform(k_pred: int) -> np.ndarray:
 
 
 def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
-                        rng: np.random.Generator, start_index: int) -> PoolRows:
-    """Rows of one pool drawn for ``labels``, with placeholder uniform predictions.
+                        rng: np.random.Generator, start_index: int) -> SamplePool:
+    """A pool drawn for ``labels``, with placeholder uniform predictions.
 
-    Every row's prediction is a view of one read-only uniform row, so the
-    ``prediction`` column takes ``k_pred`` floats, not ``n * k_pred``.
+    The ``prediction`` column is a read-only broadcast of one uniform
+    row, so it takes ``k_pred`` floats, not ``n * k_pred``.
     """
     n = labels.shape[0]
     features = (
@@ -274,7 +274,7 @@ def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
         stalled=stalled,
         workload=labels,
         noise=np.zeros(n, dtype=bool),
-    ).rows()
+    )
 
 
 def generate(spec: ScenarioSpec, seed: int = 0):
@@ -293,17 +293,16 @@ def generate(spec: ScenarioSpec, seed: int = 0):
     for t in range(spec.iterations):
         labels = rng.choice(spec.n_classes, size=spec.samples_per_iteration,
                             p=spec.schedule[t])
-        samples = _draw_class_samples(spec, labels, t, rng, arrival)
-        arrival += len(samples)
-        yield samples
+        pool = _draw_class_samples(spec, labels, t, rng, arrival)
+        arrival += len(pool)
+        yield pool.rows()
 
 
-def eval_set(spec: ScenarioSpec, iteration: int, per_class: int, seed: int = 0) -> PoolRows:
-    """Balanced held-out draw from every class at one iteration's state.
+def eval_set(spec: ScenarioSpec, iteration: int, per_class: int, seed: int = 0) -> SamplePool:
+    """Balanced held-out pool drawn from every class at one iteration's state.
 
     Independent of the training stream: evaluation never perturbs the
     stream's random state.  Arrival indices are local to the set.
-    Returns pool-backed rows, like the chunks of :func:`generate`.
     """
     rng = np.random.default_rng([seed, 2, iteration])
     labels = np.repeat(np.arange(spec.n_classes), per_class)
@@ -323,11 +322,11 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     ``noise=True`` purely for evaluation; selection strategies never
     read the flag.
 
-    Each chunk is taken in as a pool (pool-backed rows hand theirs
-    over; other sequences of samples are stacked), its columns are
-    copied with the replaced positions overwritten, and it comes out as
-    pool-backed rows.  The random draws per replaced position are the
-    output bin, then the raw output (regression only), then the features.
+    Each chunk is taken in as a pool, its columns are copied with the
+    replaced positions overwritten, and it comes out as pool-backed
+    rows, like the chunks of :func:`generate`.  The random draws per
+    replaced position are the output bin, then the raw output
+    (regression only), then the features.
     """
     if not 0.0 <= fraction <= 1.0:
         raise BadFraction(f"noise fraction must lie in [0, 1], got {fraction}")

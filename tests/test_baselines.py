@@ -448,3 +448,41 @@ def kept_id_digest(kind, seed=0):
 @pytest.mark.parametrize("kind", sorted(GOLDEN_KEPT_IDS))
 def test_kept_ids_match_golden_digest(kind):
     assert kept_id_digest(kind) == GOLDEN_KEPT_IDS[kind]
+
+
+def outcome_bytes(kind, form, seed=3):
+    """Each select's kept_ids, trace, rci bytes and retrain over a 3 x 300 stream.
+
+    Every chunk is handed to ``select`` as ``form(chunk)``.
+    """
+    spec = rare_patterns(iterations=3, samples_per_iteration=300, feature_dim=4)
+    cfg = StrategyConfig(capacity=200, batch_size=8, k_pred=3, k_out=3)
+    strategy = make_strategy(kind)
+    memory = ReplayMemory(capacity=cfg.capacity)
+    predictor = OraclePredictor(spec.class_means)
+    rng = np.random.default_rng(seed)
+    return [
+        (o.kept_ids.tobytes(), o.trace, np.float64(o.rci).tobytes(), o.retrain)
+        for o in (strategy.select(memory, form(chunk), cfg, predictor, rng)
+                  for chunk in generate(spec, seed))
+    ]
+
+
+@pytest.mark.parametrize("kind", ["memento", "random", "fifo"])
+def test_a_pool_its_rows_and_a_list_of_them_select_alike(kind):
+    """One hot path: a chunk's pool, the chunk itself and a plain list of its rows."""
+    by_pool = outcome_bytes(kind, lambda chunk: chunk.pool)
+    assert by_pool == outcome_bytes(kind, lambda chunk: chunk)
+    assert by_pool == outcome_bytes(kind, list)
+    assert any(trace for _, trace, _, _ in by_pool) == (kind == "memento")
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_every_kind_checks_a_pool_as_it_checks_rows(kind):
+    chunk = [sample(i, loss=1.0) for i in range(4, 8)]
+    chunk[1] = sample(5, loss=1.0, features=[5.0, math.nan])
+    assert_chunk_rejected(kind, SamplePool.from_samples(chunk), NonFiniteValue)
+    chunk[1] = sample(5, output_bin=3, loss=1.0)
+    assert_chunk_rejected(kind, SamplePool.from_samples(chunk), BinOutOfRange)
+    chunk[1] = sample(4, loss=1.0)
+    assert_chunk_rejected(kind, SamplePool.from_samples(chunk), RepeatedArrival)

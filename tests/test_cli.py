@@ -47,7 +47,7 @@ def test_gen_then_run_from_file(tmp_path, capsys):
 
     samples = read_samples(pool)
     assert len(samples) == 1000
-    assert sum(s.noise for s in samples) == 100
+    assert samples.noise.sum() == 100
 
     config = write_config(
         tmp_path, strategy="fifo", predictor="histogram",
@@ -103,5 +103,5 @@ def test_stationary_flag(tmp_path, capsys):
     samples = read_samples(pool)
     # every iteration carries some of the rare classes when stationary
     for start in range(0, 8000, 2000):
-        workloads = {s.workload for s in samples[start:start + 2000]}
+        workloads = set(samples.workload[start:start + 2000].tolist())
         assert workloads == {0, 1, 2}

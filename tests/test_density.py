@@ -39,6 +39,14 @@ class TestKde:
         with pytest.raises(NonPositiveBandwidth):
             kde(np.zeros((1, 1)), bandwidth=0.0)
 
+    @pytest.mark.parametrize("bandwidth", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bandwidth(self, bandwidth):
+        """An infinite bandwidth makes every density equal, so it is refused like zero."""
+        with pytest.raises(NonPositiveBandwidth, match="positive and finite"):
+            kde(np.zeros((1, 1)), bandwidth=bandwidth)
+        with pytest.raises(NonPositiveBandwidth, match="positive and finite"):
+            DensityState(np.zeros((1, 1)), np.zeros((1, 1)), bandwidth)
+
     def test_empty(self):
         with pytest.raises(EmptyInput):
             kde(np.zeros((0, 0)), bandwidth=0.1)

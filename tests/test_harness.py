@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from covmem import (
     run,
     sweep,
 )
+from covmem.harness import coerce_value
 from covmem.errors import (
     BadFraction,
     BatchExceedsCapacity,
@@ -119,6 +122,7 @@ class TestRunConfig:
         ("bandwidth", 0.0, NonPositiveBandwidth),
         ("bandwidth", -0.1, NonPositiveBandwidth),
         ("bandwidth", math.nan, NonPositiveBandwidth),
+        ("bandwidth", math.inf, NonPositiveBandwidth),
         ("temperature", -0.01, NegativeTemperature),
         ("temperature", math.nan, NegativeTemperature),
         ("threshold", -0.1, BadFraction),
@@ -132,6 +136,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field) as info:
             RunConfig(**kwargs)
         assert isinstance(info.value.__cause__, cause)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_separation_at_construction(self, value):
+        with pytest.raises(ConfigError, match="separation"):
+            RunConfig(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns",
+                      separation=value)
 
     def test_file_runs_check_their_bin_counts(self):
         with pytest.raises(ConfigError, match="k_out") as info:
@@ -186,7 +196,8 @@ class TestParseConfig:
             parse_config(path)
 
     @pytest.mark.parametrize("line", ["capacity = 0", "batch_size = 9", "bandwidth = nan",
-                                      "temperature = -1", "threshold = 2"])
+                                      "bandwidth = inf", "temperature = -1", "threshold = 2",
+                                      "separation = nan", "separation = -inf"])
     def test_bad_strategy_knob_fails_at_parse(self, tmp_path, line):
         path = self.write(tmp_path, "strategy = memento\nscenario = rare_patterns\n"
                                     f"capacity = 8\nbatch_size = 4\n{line}\n")
@@ -209,6 +220,38 @@ class TestParseConfig:
         path = self.write(tmp_path, "strategy memento\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(path)
+
+
+# One valid and one malformed string per field type; any string is a valid str.
+VALID_RAW = {bool: ("yes", True), int: ("7", 7), float: ("0.5", 0.5), str: ("abc", "abc")}
+MALFORMED_RAW = {bool: "maybe", int: "1.5", float: "half"}
+
+
+def field_type(field):
+    """The field's type with ``X | None`` read as ``X``."""
+    args = [t for t in typing.get_args(field.type) if t is not type(None)]
+    return args[0] if args else field.type
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+class TestCoerceValue:
+    def test_a_valid_string_coerces_to_the_field_type(self, field):
+        raw, want = VALID_RAW[field_type(field)]
+        got = coerce_value(field.name, f" {raw} ")
+        assert type(got) is field_type(field) and got == want
+
+    def test_a_malformed_string_raises_config_error(self, field):
+        kind = field_type(field)
+        if kind is str:
+            assert coerce_value(field.name, "any text at all") == "any text at all"
+            return
+        with pytest.raises(ConfigError, match=field.name):
+            coerce_value(field.name, MALFORMED_RAW[kind])
+
+
+def test_coerce_value_rejects_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown config key"):
+        coerce_value("flux", "9")
 
 
 def small_config(**overrides):
@@ -412,7 +455,8 @@ def test_file_run_stacks_the_file_once(tmp_path, monkeypatch):
     stacked = []
     stack_rows = samples._stack_rows
     monkeypatch.setattr(samples, "_stack_rows",
-                        lambda rows, column: stacked.append(column) or stack_rows(rows, column))
+                        lambda rows, column, dtype=None:
+                        stacked.append(column) or stack_rows(rows, column, dtype))
     reports = run(RunConfig(
         strategy="memento", capacity=150, batch_size=8, input=str(path),
         samples_per_iteration=100, k_pred=3, k_out=3, predictor="histogram",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import fields
 
@@ -13,7 +14,6 @@ from covmem import (
     mixture,
     read_samples,
     validate_distribution,
-    validate_sample,
     write_samples,
 )
 from covmem.samples import PoolRows
@@ -44,28 +44,38 @@ def make_sample(i=0, prediction=(0.5, 0.25, 0.25), output_bin=1, **kwargs):
     )
 
 
+def read_back(tmp_path, *samples, k_pred=3, k_out=3):
+    """Write ``samples`` as a record file and read it back with the given bin counts."""
+    path = tmp_path / "records.ndjson"
+    write_samples(path, list(samples))
+    return read_samples(path, k_pred=k_pred, k_out=k_out)
+
+
 class TestValidation:
-    def test_valid_sample_passes_through(self):
+    def test_valid_sample_passes_through(self, tmp_path):
         s = make_sample()
-        assert validate_sample(s, 3, 3) is s
+        (back,) = read_back(tmp_path, s).rows()
+        np.testing.assert_array_equal(back.features, s.features)
+        np.testing.assert_array_equal(back.prediction, s.prediction)
+        assert back.output_bin == s.output_bin
 
-    def test_non_normalized_prediction(self):
-        with pytest.raises(NonNormalizedPrediction):
-            validate_sample(make_sample(prediction=(0.5, 0.25, 0.30)), 3, 3)
+    def test_non_normalized_prediction(self, tmp_path):
+        with pytest.raises(NonNormalizedPrediction, match="line 1"):
+            read_back(tmp_path, make_sample(prediction=(0.5, 0.25, 0.30)))
 
-    def test_negative_probability(self):
-        with pytest.raises(NegativeProbability):
-            validate_sample(make_sample(prediction=(1.2, -0.1, -0.1)), 3, 3)
+    def test_negative_probability(self, tmp_path):
+        with pytest.raises(NegativeProbability, match="line 1"):
+            read_back(tmp_path, make_sample(prediction=(1.2, -0.1, -0.1)))
 
-    def test_output_bin_out_of_range(self):
-        with pytest.raises(BinOutOfRange):
-            validate_sample(make_sample(output_bin=3), 3, 3)
-        with pytest.raises(BinOutOfRange):
-            validate_sample(make_sample(output_bin=-1), 3, 3)
+    def test_output_bin_out_of_range(self, tmp_path):
+        with pytest.raises(BinOutOfRange, match="line 1"):
+            read_back(tmp_path, make_sample(output_bin=3))
+        with pytest.raises(BinOutOfRange, match="line 1"):
+            read_back(tmp_path, make_sample(output_bin=-1))
 
-    def test_wrong_length(self):
-        with pytest.raises(LengthMismatch):
-            validate_sample(make_sample(), 4, 3)
+    def test_wrong_length(self, tmp_path):
+        with pytest.raises(LengthMismatch, match="line 1"):
+            read_back(tmp_path, make_sample(), k_pred=4)
 
     def test_tolerance_is_tight_but_not_exact(self):
         # off by less than 1e-9 is fine, more is not
@@ -311,6 +321,7 @@ class TestStrategyConfig:
         ("bandwidth", math.nan, NonPositiveBandwidth),
         ("bandwidth", 0.0, NonPositiveBandwidth),
         ("bandwidth", -0.1, NonPositiveBandwidth),
+        ("bandwidth", math.inf, NonPositiveBandwidth),
         ("temperature", math.nan, NegativeTemperature),
         ("temperature", -0.1, NegativeTemperature),
         ("threshold", math.nan, BadFraction),
@@ -344,8 +355,8 @@ class TestRecords:
         path = tmp_path / "records.ndjson"
         write_samples(path, samples)
         back = read_samples(path, k_pred=4, k_out=4)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
+        assert isinstance(back, SamplePool) and len(back) == len(samples)
+        for a, b in zip(samples, back.rows()):
             np.testing.assert_allclose(a.features, b.features)
             np.testing.assert_allclose(a.prediction, b.prediction)
             assert (a.output_bin, a.arrival_index, a.stalled) == (b.output_bin, b.arrival_index, b.stalled)
@@ -362,7 +373,7 @@ class TestRecords:
             '{"features": [0.0], "output_bin": 0, "raw_output": 0.0, '
             '"prediction": [1.0], "stalled": 0, "mystery": 42}\n'
         )
-        (sample,) = read_samples(path)
+        (sample,) = read_samples(path).rows()
         assert sample.output_bin == 0
 
     def test_missing_field_reports_line(self, tmp_path):
@@ -399,6 +410,79 @@ class TestRecords:
             '\n{"features": [0.0], "output_bin": 0, "raw_output": 0.0, '
             '"prediction": [1.0], "stalled": 1}\n\n'
         )
-        (sample,) = read_samples(path)
+        (sample,) = read_samples(path).rows()
         assert sample.stalled is True
         assert sample.arrival_index == 0
+
+    def test_a_pool_and_its_rows_write_the_same_bytes(self, tmp_path):
+        """Integer-valued fields are written as the row writer wrote them, as floats."""
+        whole = Sample(features=np.array([1, -2]), output_bin=np.int64(2),
+                       prediction=np.array([0, 1, 0]), arrival_index=0, raw_output=3, loss=2,
+                       stalled=True, workload=np.int64(1), noise=True)
+        half = Sample(features=np.array([0.5, 4.0]), output_bin=0,
+                      prediction=np.array([0.25, 0.25, 0.5]), arrival_index=1)
+        lines = [
+            '{"features": [1.0, -2.0], "output_bin": 2, "raw_output": 3.0, '
+            '"prediction": [0.0, 1.0, 0.0], "stalled": 1, "loss": 2.0, "workload": 1, '
+            '"noise": 1}\n',
+            '{"features": [0.5, 4.0], "output_bin": 0, "raw_output": NaN, '
+            '"prediction": [0.25, 0.25, 0.5], "stalled": 0}\n',
+        ]
+        path = tmp_path / "records.ndjson"
+        for rows, want in (([whole], lines[0]), ([whole, half], "".join(lines))):
+            for given in (rows, SamplePool.from_samples(rows)):
+                write_samples(path, given)
+                assert path.read_text() == want
+
+    def test_returns_a_pool_counting_records_with_nan_for_a_missing_loss(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        record = ('{"features": [0.0, 1.0], "output_bin": 1, "raw_output": 1.0, '
+                  '"prediction": [0.5, 0.5], "stalled": 0%s}\n')
+        path.write_text(record % "" + "\n" + record % ', "loss": 0.25')
+        pool = read_samples(path, k_pred=2, k_out=2)
+        assert isinstance(pool, SamplePool)
+        assert pool.arrival_index.tolist() == [0, 1]
+        assert pool.features.shape == (2, 2) and pool.prediction.shape == (2, 2)
+        assert math.isnan(pool.loss[0]) and pool.loss[1] == 0.25
+
+    GOOD = ('{"features": [0.0, 1.0], "output_bin": 1, "raw_output": 1.0, '
+            '"prediction": [0.5, 0.5], "stalled": 0}')
+    BAD = {
+        NonFiniteValue: GOOD.replace("[0.0, 1.0]", "[NaN, 1.0]"),
+        BinOutOfRange: GOOD.replace('"output_bin": 1', '"output_bin": 7'),
+        NonNormalizedPrediction: GOOD.replace("[0.5, 0.5]", "[0.5, 0.6]"),
+        LengthMismatch: GOOD.replace("[0.0, 1.0]", "[0.0, 1.0, 2.0]"),
+        ValueError: GOOD.replace('"raw_output": 1.0, ', ""),
+    }
+
+    @pytest.mark.parametrize("first, second", list(itertools.permutations(BAD, 2)),
+                             ids=lambda e: e.__name__)
+    def test_the_first_bad_record_names_its_error_and_line(self, tmp_path, first, second):
+        """Blank lines count as lines; a later bad record of another kind does not win."""
+        path = tmp_path / "records.ndjson"
+        path.write_text("\n".join([self.GOOD, "", self.BAD[first], self.GOOD,
+                                   self.BAD[second], ""]))
+        with pytest.raises(first, match="line 3") as info:
+            read_samples(path, k_pred=2, k_out=2)
+        assert type(info.value) is first
+
+    @pytest.mark.parametrize("bins", [None, 2])
+    def test_mismatched_feature_lengths_name_a_line(self, tmp_path, bins):
+        path = tmp_path / "records.ndjson"
+        short = self.GOOD.replace("[0.0, 1.0]", "[0.0]")
+        path.write_text("\n".join([self.GOOD, self.GOOD, short]))
+        with pytest.raises(LengthMismatch, match="line 3: features"):
+            read_samples(path, k_pred=bins, k_out=bins)
+
+    def test_mismatched_prediction_lengths_name_a_line_without_bin_counts(self, tmp_path):
+        path = tmp_path / "records.ndjson"
+        path.write_text("\n".join([self.GOOD, self.GOOD.replace("[0.5, 0.5]", "[1.0]")]))
+        with pytest.raises(LengthMismatch, match="line 2: prediction"):
+            read_samples(path)
+
+    @pytest.mark.parametrize("prediction", ["[]", "0.5", "[[0.5, 0.5]]"])
+    def test_a_prediction_that_is_not_a_nonempty_list_is_empty_input(self, tmp_path, prediction):
+        path = tmp_path / "records.ndjson"
+        path.write_text(self.GOOD.replace("[0.5, 0.5]", prediction))
+        with pytest.raises(EmptyInput, match="line 1"):
+            read_samples(path)

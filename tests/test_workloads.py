@@ -158,24 +158,22 @@ class TestGenerate:
 class TestEvalSet:
     def test_balanced(self):
         spec = rare_patterns(iterations=5, samples_per_iteration=100)
-        batch = eval_set(spec, iteration=0, per_class=40, seed=0)
-        np.testing.assert_array_equal(counts_by_workload(batch, 3), 40)
+        pool = eval_set(spec, iteration=0, per_class=40, seed=0)
+        assert isinstance(pool, SamplePool)
+        np.testing.assert_array_equal(np.bincount(pool.workload, minlength=3), 40)
 
     def test_independent_of_stream_state(self):
         spec = rare_patterns(iterations=5, samples_per_iteration=100)
         before = eval_set(spec, iteration=2, per_class=10, seed=0)
         list(generate(spec, seed=0))  # exhaust the stream
         after = eval_set(spec, iteration=2, per_class=10, seed=0)
-        for x, y in zip(before, after):
-            np.testing.assert_array_equal(x.features, y.features)
+        np.testing.assert_array_equal(before.features, after.features)
 
     def test_regression_eval_uses_iteration_scale(self):
         spec = gradual_drift(iterations=6, samples_per_iteration=100)
         early = eval_set(spec, iteration=0, per_class=2000, seed=0)
         late = eval_set(spec, iteration=5, per_class=2000, seed=0)
-        ratio = np.median([s.raw_output for s in late]) / np.median(
-            [s.raw_output for s in early]
-        )
+        ratio = np.median(late.raw_output) / np.median(early.raw_output)
         assert ratio == pytest.approx(2.0, rel=0.05)
 
 
@@ -405,7 +403,8 @@ def generator_outputs(kind, seed):
     return {
         "stream": list(generate(spec, seed)),
         "noise0.1": list(inject_noise(generate(spec, seed), 0.1, spec, seed)),
-        "eval": [eval_set(spec, 1, 25, seed), eval_set(spec, 2, 25, seed)],
+        # the pools' rows, hashed as the chunks are: carried pool, then restacked rows
+        "eval": [eval_set(spec, 1, 25, seed).rows(), eval_set(spec, 2, 25, seed).rows()],
     }
 
 
@@ -436,7 +435,7 @@ def test_generator_chunks_carry_the_pool_their_rows_stack_into(
     chunks = [
         *generate(spec, seed),
         *inject_noise(generate(spec, seed), noise, spec, seed),
-        eval_set(spec, 2, per_class, seed),
+        eval_set(spec, 2, per_class, seed).rows(),
     ]
     for chunk in chunks:
         carried = SamplePool.from_samples(chunk)
