@@ -27,8 +27,6 @@ from .distances import (
 from .batching import batch_samples, bbdr
 from .density import DensityState, kde
 from .selection import (
-    DiscardEvent,
-    SelectionOutcome,
     discard_probabilities,
     draw_index,
     rci,
@@ -36,9 +34,6 @@ from .selection import (
     select,
 )
 from .baselines import (
-    STRATEGY_KINDS,
-    CoverageStrategy,
-    FifoStrategy,
     LarsStrategy,
     PriorityStrategy,
     QbcStrategy,
@@ -57,7 +52,6 @@ from .predictors import (
     with_losses,
 )
 from .workloads import (
-    SCENARIO_KINDS,
     ScenarioSpec,
     build_scenario,
     eval_set,
@@ -68,7 +62,6 @@ from .workloads import (
     rare_patterns,
 )
 from .harness import (
-    IterationReport,
     RunConfig,
     balanced_accuracy,
     parse_config,
@@ -89,16 +82,15 @@ __all__ = [
     "batch_samples", "bbdr",
     "kde", "DensityState",
     "discard_probabilities", "draw_index", "select",
-    "rci", "retrain_decision", "SelectionOutcome", "DiscardEvent",
-    "SelectionStrategy", "CoverageStrategy", "RandomStrategy", "FifoStrategy",
-    "PriorityStrategy", "LarsStrategy", "QbcStrategy", "make_strategy",
-    "STRATEGY_KINDS",
+    "rci", "retrain_decision",
+    "SelectionStrategy", "RandomStrategy", "PriorityStrategy", "LarsStrategy",
+    "QbcStrategy", "make_strategy",
     "Predictor", "HistogramPredictor", "CentroidPredictor", "LikelihoodPredictor",
     "OraclePredictor",
     "UniformPredictor", "logscore", "with_losses",
     "ScenarioSpec", "rare_patterns", "incremental", "gradual_drift",
-    "build_scenario", "generate", "eval_set", "inject_noise", "SCENARIO_KINDS",
-    "RunConfig", "IterationReport", "parse_config", "run", "sweep",
+    "build_scenario", "generate", "eval_set", "inject_noise",
+    "RunConfig", "parse_config", "run", "sweep",
     "balanced_accuracy", "percentile_nearest_rank",
     "errors",
 ]

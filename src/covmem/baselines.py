@@ -32,7 +32,6 @@ from .errors import (
     EmptyCommittee,
     EmptyInput,
     MissingScores,
-    NotClassification,
 )
 from .predictors import Predictor
 from .samples import ReplayMemory, SamplePool, StrategyConfig
@@ -74,8 +73,7 @@ class CoverageStrategy(SelectionStrategy):
     """Density-based coverage maximization (see :mod:`covmem.selection`)."""
 
     def __init__(self, pred_metric: str = "jsd"):
-        if pred_metric not in ("jsd", "euclidean"):
-            raise ValueError(f"unknown pred_metric {pred_metric!r}")
+        selection._spaces(pred_metric)  # an unknown metric raises ValueError here
         self.pred_metric = pred_metric
 
     def select(self, memory, new_samples, cfg, predictor, rng):
@@ -187,17 +185,12 @@ class LarsStrategy(SelectionStrategy):
     ``min(1, C/n) * 0.5 ** (max(0, n - C) / C)``, a reservoir rate that
     additionally halves every ``C`` samples once the memory has filled.
     Eviction: drop the lowest-loss sample of the most frequent label, so
-    easy samples from dominant classes leave first.
+    easy samples from dominant classes leave first.  Output bins must
+    be class labels: a run on a regression scenario is refused by
+    :func:`~covmem.harness.run`.
     """
 
-    def __init__(self, task: str = "classification"):
-        self.task = task
-
     def select(self, memory, new_samples, cfg, predictor, rng):
-        if self.task != "classification":
-            raise NotClassification(
-                f"loss-aware reservoir needs class labels, got task {self.task!r}"
-            )
         resident = len(memory.pool)
         pool = selection.ingest(memory, new_samples, cfg, predictor, scored=True)
         if np.isnan(pool.loss[resident:]).any():
@@ -230,6 +223,9 @@ class LarsStrategy(SelectionStrategy):
         return int(candidates[order[0]])
 
 
+QBC_VOTES = ("soft", "member_mean")
+
+
 class QbcStrategy(SelectionStrategy):
     """Query by committee: keep the samples the committee is unsure about.
 
@@ -248,7 +244,7 @@ class QbcStrategy(SelectionStrategy):
                  vote: str = "soft"):
         if committee_size < 1:
             raise EmptyCommittee(f"committee needs at least one member, got {committee_size}")
-        if vote not in ("soft", "member_mean"):
+        if vote not in QBC_VOTES:
             raise ValueError(f"unknown vote {vote!r}, expected 'soft' or 'member_mean'")
         self.committee: list[Predictor] = [base_predictor for _ in range(committee_size)]
         self._base = base_predictor
@@ -291,8 +287,7 @@ STRATEGY_KINDS = (
 
 
 def make_strategy(kind: str, *, base_predictor: Predictor | None = None,
-                  committee_size: int = 5, vote: str = "soft",
-                  task: str = "classification") -> SelectionStrategy:
+                  committee_size: int = 5, vote: str = "soft") -> SelectionStrategy:
     """Build a strategy by kind name.
 
     ``qbc`` requires ``base_predictor`` (the committee template); the
@@ -309,7 +304,7 @@ def make_strategy(kind: str, *, base_predictor: Predictor | None = None,
     if kind.startswith("priority_"):
         return PriorityStrategy(kind.removeprefix("priority_"))
     if kind == "lars":
-        return LarsStrategy(task)
+        return LarsStrategy()
     if kind == "qbc":
         if base_predictor is None:
             raise EmptyCommittee("qbc needs a base predictor to build its committee from")

@@ -204,7 +204,7 @@ def _bin_mismatch(bins_a: np.ndarray, bins_b: np.ndarray) -> np.ndarray:
     return (bins_a[:, None] != bins_b[None, :]).astype(float)
 
 
-def _blocked(kernel, n_rows: int, n_cols: int, k: int, block, n_scratch: int,
+def _blocked(kernel, n_rows: int, n_cols: int, k: int, n_scratch: int,
              upper: bool) -> np.ndarray:
     """Fill an ``(n_rows, n_cols)`` matrix one row block at a time.
 
@@ -212,22 +212,19 @@ def _blocked(kernel, n_rows: int, n_cols: int, k: int, block, n_scratch: int,
     (a slice) against columns ``cols``, using ``n_scratch`` flat float
     arrays of ``block rows * block columns * k`` elements as its working
     space, which it shapes as it needs.  The scratch is allocated once
-    and reused by every block.  A block has ``block`` rows, or with
-    ``block=None`` as many as fit the scratch budget at its column count.
-    With ``upper`` the matrix is square and symmetric: each block is
-    computed from its own first row onward and mirrored into the lower
-    triangle, and the diagonal is set to zero.
+    and reused by every block.  A block has as many rows as fit the
+    ``_SCRATCH`` budget at its column count, and at least one.  With
+    ``upper`` the matrix is square and symmetric: each block is computed
+    from its own first row onward and mirrored into the lower triangle,
+    and the diagonal is set to zero.
     """
-    if block:
-        size = min(block, n_rows) * n_cols * k
-    else:
-        size = min(n_rows * n_cols * k, max(_SCRATCH, n_cols * k))
+    size = min(n_rows * n_cols * k, max(_SCRATCH, n_cols * k))
     flat = [np.empty(size) for _ in range(n_scratch)]
     out = np.empty((n_rows, n_cols))
     start = 0
     while start < n_rows:
         lo = start if upper else 0
-        stop = min(start + (block or max(1, _SCRATCH // max(1, (n_cols - lo) * k))), n_rows)
+        stop = min(start + max(1, _SCRATCH // max(1, (n_cols - lo) * k)), n_rows)
         size = (stop - start) * (n_cols - lo) * k
         scratch = [buf[:size] for buf in flat]
         out[start:stop, lo:] = kernel(slice(start, stop), slice(lo, n_cols), *scratch)
@@ -302,18 +299,13 @@ def _euclidean_kernel(rows_a, rows_b):
     return kernel
 
 
-def jsd_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
+def jsd_pairwise(rows: np.ndarray) -> np.ndarray:
     """All-pairs Jensen-Shannon distances for stacked distributions.
 
     Parameters
     ----------
     rows : ndarray
         Shape ``(n, k)``, one distribution per row.
-    block : int or None
-        Rows per block.  ``None`` derives it from the scratch budget,
-        ``max(1, 65536 // (cols * k))`` for a block of ``cols``
-        columns, so the two float scratch arrays stay in cache; the
-        results do not depend on it.
 
     Returns
     -------
@@ -328,15 +320,13 @@ def jsd_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
         return _bin_mismatch(bins, bins)
     n, k = rows.shape
     ent = _entropy_rows(rows)
-    return _blocked(_jsd_kernel(rows, rows, ent, ent), n, n, k, block, 2, upper=True)
+    return _blocked(_jsd_kernel(rows, rows, ent, ent), n, n, k, 2, upper=True)
 
 
-def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None = None) -> np.ndarray:
+def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     """Jensen-Shannon distances between two stacks of distributions.
 
     Returns the ``(len(rows_a), len(rows_b))`` rectangular matrix.
-    ``block`` is the number of ``rows_a`` rows per block, derived from
-    the scratch budget as in :func:`jsd_pairwise` when ``None``.
     """
     rows_a = np.asarray(rows_a, dtype=float)
     rows_b = np.asarray(rows_b, dtype=float)
@@ -350,36 +340,41 @@ def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None = None) 
     if bins_a is not None and bins_b is not None:
         return _bin_mismatch(bins_a, bins_b)
     kernel = _jsd_kernel(rows_a, rows_b, _entropy_rows(rows_a), _entropy_rows(rows_b))
-    return _blocked(kernel, rows_a.shape[0], rows_b.shape[0], rows_a.shape[1], block, 2,
-                    upper=False)
+    return _blocked(kernel, rows_a.shape[0], rows_b.shape[0], rows_a.shape[1], 2, upper=False)
 
 
-def _euclidean_pairwise(rows: np.ndarray, block: int | None = None) -> np.ndarray:
+def _euclidean_pairwise(rows: np.ndarray) -> np.ndarray:
     n, d = rows.shape
-    return _blocked(_euclidean_kernel(rows, rows), n, n, d, block, 1, upper=True)
+    return _blocked(_euclidean_kernel(rows, rows), n, n, d, 1, upper=True)
 
 
-def _euclidean_cross(rows_a: np.ndarray, rows_b: np.ndarray, block: int | None = None) -> np.ndarray:
+def _euclidean_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     return _blocked(_euclidean_kernel(rows_a, rows_b), rows_a.shape[0], rows_b.shape[0],
-                    rows_a.shape[1], block, 1, upper=False)
+                    rows_a.shape[1], 1, upper=False)
 
 
-# the BatchTable column each comparison space reads
-_SPACE_COLUMNS = {"pred": "pred_dist", "out": "out_bin", "features": "mean_features"}
+# Each comparison space: the BatchTable column it reads, and its square
+# and rectangular distances.  The space fixes the metric: JSD between
+# prediction distributions, euclidean between mean feature vectors, and
+# bin mismatch between output bins, whose distributions are point masses.
+_SPACES = {
+    "pred": ("pred_dist", jsd_pairwise, jsd_cross),
+    "features": ("mean_features", _euclidean_pairwise, _euclidean_cross),
+    "out": ("out_bin", lambda bins: _bin_mismatch(bins, bins), _bin_mismatch),
+}
 
 
-def _batch_rows(batches, space: str, metric: str) -> np.ndarray:
+def _space(batches, space: str):
+    """The ``space`` entry of ``_SPACES`` and the column ``batches`` hold for it."""
     if not batches:
         raise EmptyInput("no batches to compare")
-    if space not in _SPACE_COLUMNS:
+    if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}, expected 'pred', 'out', or 'features'")
-    if metric not in ("jsd", "euclidean") or (space == "out" and metric != "jsd"):
-        raise ValueError(f"unknown metric {metric!r} for space {space!r}")
-    return getattr(batches, _SPACE_COLUMNS[space])
+    column, pairwise, cross = _SPACES[space]
+    return getattr(batches, column), pairwise, cross
 
 
-def distinct_rows(batches, space: str = "pred",
-                  metric: str = "jsd") -> tuple[np.ndarray, np.ndarray]:
+def distinct_rows(batches, space: str = "pred") -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of one comparison space, and each batch's index into them.
 
     ``out_bin`` values compare as values; 2-D rows compare their bytes,
@@ -395,7 +390,7 @@ def distinct_rows(batches, space: str = "pred",
     types : ndarray
         For every batch, the index into ``first`` of its row.
     """
-    rows = _batch_rows(batches, space, metric)
+    rows, _, _ = _space(batches, space)
     if rows.ndim == 2:
         rows = np.ascontiguousarray(rows)
         rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -407,41 +402,30 @@ def distinct_rows(batches, space: str = "pred",
     return first[order], rank[types]
 
 
-def distance_matrix(batches, space: str = "pred", metric: str = "jsd") -> np.ndarray:
+def distance_matrix(batches, space: str = "pred") -> np.ndarray:
     """Pairwise distances between the batches of one table in one comparison space.
 
     Parameters
     ----------
     batches : BatchTable
     space : {"pred", "out", "features"}
-        Which batch summary to compare: the ``pred_dist``, ``out_bin``
-        or ``mean_features`` column.
-    metric : {"jsd", "euclidean"}
-        ``jsd`` applies to the distribution spaces, ``euclidean`` to
-        batch-average features.  The ``out`` space takes ``jsd`` only:
-        each batch's output distribution is a point mass on its
-        ``out_bin``, so distances are 0 within a bin and 1 across bins.
+        Which batch summary to compare, which also fixes the metric:
+        JSD between ``pred_dist`` rows, euclidean between
+        ``mean_features`` rows, and for ``out`` the JSD between point
+        masses on each batch's ``out_bin``, which is 0 within a bin and
+        1 across bins.
 
     Returns
     -------
     ndarray
         Symmetric ``(n, n)`` matrix, zero diagonal.
     """
-    rows = _batch_rows(batches, space, metric)
-    if space == "out":
-        return _bin_mismatch(rows, rows)
-    if metric == "jsd":
-        return jsd_pairwise(rows)
-    return _euclidean_pairwise(rows)
+    rows, pairwise, _ = _space(batches, space)
+    return pairwise(rows)
 
 
-def cross_distance_matrix(batches_a, batches_b, space: str = "pred",
-                          metric: str = "jsd") -> np.ndarray:
+def cross_distance_matrix(batches_a, batches_b, space: str = "pred") -> np.ndarray:
     """Rectangular distances between the batches of two tables, as in :func:`distance_matrix`."""
-    rows_a = _batch_rows(batches_a, space, metric)
-    rows_b = _batch_rows(batches_b, space, metric)
-    if space == "out":
-        return _bin_mismatch(rows_a, rows_b)
-    if metric == "jsd":
-        return jsd_cross(rows_a, rows_b)
-    return _euclidean_cross(rows_a, rows_b)
+    rows_a, _, cross = _space(batches_a, space)
+    rows_b, _, _ = _space(batches_b, space)
+    return cross(rows_a, rows_b)

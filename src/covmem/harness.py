@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import STRATEGY_KINDS, make_strategy
-from .errors import BadFraction, ConfigError, EmptyInput, UnbalancedEvalSet
+from .baselines import QBC_VOTES, STRATEGY_KINDS, make_strategy
+from .errors import BadFraction, ConfigError, EmptyInput, NotClassification, UnbalancedEvalSet
 from .predictors import (
     CentroidPredictor,
     HistogramPredictor,
@@ -100,6 +100,12 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.committee_size < 1:
+            raise ConfigError(f"committee_size must be >= 1, got {self.committee_size}")
+        if self.qbc_vote not in QBC_VOTES:
+            raise ConfigError(f"qbc_vote must be one of {QBC_VOTES}, got {self.qbc_vote!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not np.isfinite(self.separation):
             raise ConfigError(f"separation must be finite, got {self.separation}")
         if self.input is not None and (self.k_pred is None or self.k_out is None):
@@ -301,6 +307,8 @@ def _stream_and_spec(config: RunConfig):
         return stream, spec, spec.k_pred, spec.k_out, spec.n_classes
     # each chunk is a pool, which both the strategy's select and the evaluation take
     pool = read_samples(config.input, config.k_pred, config.k_out)
+    if not len(pool):
+        raise EmptyInput(f"{config.input}: no sample records to run on")
     spi = config.samples_per_iteration or len(pool)
     starts = range(0, len(pool), spi)[: config.iterations]
     chunks = (pool.take(slice(i, i + spi)) for i in starts)
@@ -312,9 +320,11 @@ def _stream_and_spec(config: RunConfig):
 def run(config: RunConfig) -> list[IterationReport]:
     """Execute one configured run; write reports if ``out_dir`` is set."""
     stream, spec, k_pred, k_out, n_classes = _stream_and_spec(config)
+    if config.strategy == "lars" and spec is not None and spec.regression:
+        raise NotClassification(f"strategy 'lars' evicts by class label, but scenario "
+                                f"{config.scenario!r} is a regression stream")
     cfg = config._strategy_config(k_pred, k_out)
     predictor = _make_predictor(config.predictor, spec, k_pred)
-    task = "regression" if (spec is not None and spec.regression) else "classification"
     strategy = make_strategy(
         config.strategy,
         base_predictor=_make_predictor(
@@ -322,7 +332,6 @@ def run(config: RunConfig) -> list[IterationReport]:
         ),
         committee_size=config.committee_size,
         vote=config.qbc_vote,
-        task=task,
     )
     memory = ReplayMemory(capacity=config.capacity)
     rng = np.random.default_rng([config.seed, 4])

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 LOGSCORE_FLOOR = 1e-12
+# mass LikelihoodPredictor adds to every bin before normalizing
+_BACKGROUND = 1e-12
 
 
 def logscore(prediction, output_bin: int) -> float:
@@ -130,24 +132,20 @@ class CentroidPredictor(Predictor):
     """Soft nearest-centroid classifier.
 
     Stores the mean feature vector of every label seen during training
-    and predicts ``softmax(-d_k^2 / softness)`` over those labels, where
-    ``d_k`` is the distance to centroid ``k``.  Bins absent from the
-    training set get zero mass and the rest is renormalized.
+    and predicts ``softmax(-d_k^2)`` over those labels, where ``d_k`` is
+    the distance to centroid ``k``.  Bins absent from the training set
+    get zero mass and the rest is renormalized.
     """
 
-    def __init__(self, n_bins: int, softness: float = 1.0,
-                 centroids: np.ndarray | None = None,
+    def __init__(self, n_bins: int, centroids: np.ndarray | None = None,
                  seen: np.ndarray | None = None):
-        if softness <= 0:
-            raise ValueError(f"softness must be positive, got {softness}")
         self.n_bins = n_bins
-        self.softness = softness
         self._centroids = centroids  # (n_bins, n_features), rows for unseen bins unused
         self._seen = seen            # boolean mask of trained bins
 
     def fit(self, pool):
         centroids, seen = _class_means(pool, self.n_bins)
-        return CentroidPredictor(self.n_bins, self.softness, centroids, seen)
+        return CentroidPredictor(self.n_bins, centroids, seen)
 
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)
@@ -158,7 +156,7 @@ class CentroidPredictor(Predictor):
                 f"got {features.shape[1]}-dim features, centroids are "
                 f"{self._centroids.shape[1]}-dim"
             )
-        logits = -_squared_distances(features, self._centroids[self._seen]) / self.softness
+        logits = -_squared_distances(features, self._centroids[self._seen])
         logits -= logits.max(axis=1, keepdims=True)
         weights = np.exp(logits)
         weights /= weights.sum(axis=1, keepdims=True)
@@ -171,9 +169,9 @@ class LikelihoodPredictor(Predictor):
     """Gaussian-likelihood classifier with a uniform background floor.
 
     Like :class:`CentroidPredictor` it stores per-label mean feature
-    vectors, but it scores a query by the unnormalized likelihood
-    ``exp(-d_k^2 / (2 scale^2))`` and adds a constant ``background``
-    mass to every bin before normalizing.  Near a class mean the
+    vectors, but it scores a query by the unnormalized unit-variance
+    likelihood ``exp(-d_k^2 / 2)`` and adds a constant ``1e-12`` mass
+    to every bin before normalizing.  Near a class mean the
     likelihood dwarfs the floor and predictions are sharp; far from all
     means the floor dominates and the prediction approaches uniform over
     all bins, unseen ones included.
@@ -184,24 +182,15 @@ class LikelihoodPredictor(Predictor):
     honest answer for junk inputs.
     """
 
-    def __init__(self, n_bins: int, scale: float = 1.0, background: float = 1e-12,
-                 centroids: np.ndarray | None = None,
+    def __init__(self, n_bins: int, centroids: np.ndarray | None = None,
                  seen: np.ndarray | None = None):
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        if background <= 0:
-            raise ValueError(f"background must be positive, got {background}")
         self.n_bins = n_bins
-        self.scale = scale
-        self.background = background
         self._centroids = centroids
         self._seen = seen
 
     def fit(self, pool):
         centroids, seen = _class_means(pool, self.n_bins)
-        return LikelihoodPredictor(
-            self.n_bins, self.scale, self.background, centroids, seen
-        )
+        return LikelihoodPredictor(self.n_bins, centroids, seen)
 
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)
@@ -213,11 +202,11 @@ class LikelihoodPredictor(Predictor):
                 f"{self._centroids.shape[1]}-dim"
             )
         sq = _squared_distances(features, self._centroids[self._seen])
-        # Likelihoods underflow to zero a few hundred scale lengths out;
-        # the background floor keeps every row a valid distribution.
+        # Likelihoods underflow to zero a few dozen units out; the
+        # background floor keeps every row a valid distribution.
         with np.errstate(under="ignore"):
-            scores = np.exp(-sq / (2.0 * self.scale * self.scale))
-        out = np.full((len(features), self.n_bins), self.background)
+            scores = np.exp(-sq / 2.0)
+        out = np.full((len(features), self.n_bins), _BACKGROUND)
         out[:, self._seen] += scores
         out /= out.sum(axis=1, keepdims=True)
         return out

@@ -94,28 +94,34 @@ def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     return min(idx, probabilities.size - 1)
 
 
-def _spaces(pred_metric: str) -> tuple[tuple[str, str], tuple[str, str]]:
-    """``(space, metric)`` of the prediction and the output comparison."""
-    return ("features" if pred_metric == "euclidean" else "pred", pred_metric), ("out", "jsd")
+# the comparison space of batch summaries each prediction metric names
+_PRED_SPACES = {"jsd": "pred", "euclidean": "features"}
 
 
-def _density_state(batches: BatchTable, bandwidth: float, pred_metric: str):
+def _spaces(pred_metric: str) -> tuple[str, str]:
+    """The prediction and the output comparison space for ``pred_metric``."""
+    if pred_metric not in _PRED_SPACES:
+        raise ValueError(f"unknown pred_metric {pred_metric!r}, expected 'jsd' or 'euclidean'")
+    return _PRED_SPACES[pred_metric], "out"
+
+
+def _density_state(batches: BatchTable, bandwidth: float, spaces: tuple[str, str]):
     """A :class:`DensityState` over ``batches``, and each space's distinct rows.
 
     Distances are computed between distinct rows only; returns the state
-    and, per space, ``(space, metric, first, types)`` as
+    and, per space, ``(space, first, types)`` as
     :func:`~covmem.distances.distinct_rows` gives them.
     """
-    spaces, tables = [], []
-    for space, metric in _spaces(pred_metric):
-        first, types = distinct_rows(batches, space, metric)
-        spaces.append((space, metric, first, types))
-        tables.append(distance_matrix(batches.take(first), space, metric))
-    state = DensityState(*tables, bandwidth, *(types for *_, types in spaces))
-    return state, spaces
+    distinct, tables = [], []
+    for space in spaces:
+        first, types = distinct_rows(batches, space)
+        distinct.append((space, first, types))
+        tables.append(distance_matrix(batches.take(first), space))
+    state = DensityState(*tables, bandwidth, *(types for *_, types in distinct))
+    return state, distinct
 
 
-def _cross_density(batches, first, types, reference, space, metric, bandwidth):
+def _cross_density(batches, first, types, reference, space, bandwidth):
     """Density the ``reference`` table assigns to each batch of ``types``, in one space.
 
     Distances run between the distinct rows present in ``types`` and the
@@ -123,14 +129,13 @@ def _cross_density(batches, first, types, reference, space, metric, bandwidth):
     gives each row of :func:`kde`'s full matrix bit for bit.
     """
     present = np.bincount(types, minlength=first.size) > 0
-    ref_first, ref_types = distinct_rows(reference, space, metric)
-    cross = cross_distance_matrix(batches.take(first[present]), reference.take(ref_first),
-                                  space, metric)
+    ref_first, ref_types = distinct_rows(reference, space)
+    cross = cross_distance_matrix(batches.take(first[present]), reference.take(ref_first), space)
     rho = kde(np.take(cross, ref_types, axis=1), bandwidth)
     return rho[(np.cumsum(present) - 1)[types]]
 
 
-def _coverage_improvement(batches, state, spaces, reference, bandwidth) -> float:
+def _coverage_improvement(batches, state, distinct, reference, bandwidth) -> float:
     """RCI of the state's active batches against ``reference``.
 
     The self-densities come from the state's kernel tables, with no new
@@ -141,8 +146,8 @@ def _coverage_improvement(batches, state, spaces, reference, bandwidth) -> float
         return 1.0
     active = state.active_indices
     rho_cross = np.minimum(*(
-        _cross_density(batches, first, types[active], reference, space, metric, bandwidth)
-        for space, metric, first, types in spaces
+        _cross_density(batches, first, types[active], reference, space, bandwidth)
+        for space, first, types in distinct
     ))
     rho_self = np.minimum(*state.recompute())
     gains = np.maximum(rho_self - rho_cross, 0.0)
@@ -164,12 +169,13 @@ def rci(current: BatchTable, reference: BatchTable | None, bandwidth: float,
     the reference already covers everything the current set does, and 1
     against an empty or missing reference.
     """
+    spaces = _spaces(pred_metric)
     if not current:
         raise EmptyCurrentSet("current batch set is empty")
     if not reference:
         return 1.0
-    state, spaces = _density_state(current, bandwidth, pred_metric)
-    return _coverage_improvement(current, state, spaces, reference, bandwidth)
+    state, distinct = _density_state(current, bandwidth, spaces)
+    return _coverage_improvement(current, state, distinct, reference, bandwidth)
 
 
 def retrain_decision(current: BatchTable, reference: BatchTable | None,
@@ -271,7 +277,8 @@ def select(
     pred_metric : {"jsd", "euclidean"}
         ``euclidean`` swaps the prediction-space distribution distance
         for the euclidean distance between batch-average feature
-        vectors, keeping everything else identical.
+        vectors, keeping everything else identical.  Any other value
+        raises ``ValueError`` before the memory changes.
 
     Returns
     -------
@@ -281,6 +288,7 @@ def select(
         :class:`~covmem.samples.BatchTable` this call batched the pool
         into.
     """
+    spaces = _spaces(pred_metric)
     pool = ingest(memory, new_samples, cfg, predictor).sorted_by_arrival()
     if not len(pool):
         raise EmptyInput("nothing to select from: memory and new samples are both empty")
@@ -294,7 +302,7 @@ def select(
             f"(smallest is {sizes.min()}); whole-batch discards cannot reach it"
         )
 
-    state, spaces = _density_state(batches, cfg.bandwidth, pred_metric)
+    state, distinct = _density_state(batches, cfg.bandwidth, spaces)
 
     trace: list[DiscardEvent] = []
     while total > cfg.capacity:
@@ -312,7 +320,7 @@ def select(
 
     # the RCI of the survivors, as rci(kept, reference) computes it, but
     # with the self-densities read off the tables the loop already holds
-    rci_value = _coverage_improvement(batches, state, spaces, memory.last_train_batches,
+    rci_value = _coverage_improvement(batches, state, distinct, memory.last_train_batches,
                                       cfg.bandwidth)
     retrain = rci_value >= cfg.threshold
     kept = batches.take(state.active_indices)

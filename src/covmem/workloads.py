@@ -46,8 +46,10 @@ RARE_W3_PERIOD = 10
 RARE_W1_OVERALL = 0.013
 RARE_W3_OVERALL = 0.005
 
-# Gradual drift: three equal phases whose output scale steps up.
+# Gradual drift: three equal phases whose output scale steps up; the
+# log of a raw output spreads by DRIFT_OUT_SIGMA around its class median.
 DRIFT_PHASE_SCALES = (1.0, 1.5, 2.0)
+DRIFT_OUT_SIGMA = 0.25
 DRIFT_BIN_COUNT = 21
 DRIFT_BIN_MAX = 32.0
 
@@ -57,24 +59,24 @@ class ScenarioSpec:
     """Complete description of one synthetic stream.
 
     ``schedule`` has one row per iteration with the class mixture
-    weights for that iteration.  Classification scenarios use the class
-    index as the output bin; regression scenarios draw a continuous
-    output from a class-dependent lognormal, multiply it by the
-    iteration's ``output_scales`` entry, and bin it against fixed
-    ``bin_edges``.  ``stall_class`` optionally marks one class's samples
-    with the stalled flag so the stall-based baseline has a signal.
+    weights for that iteration.  Features are the class mean plus unit
+    Gaussian noise.  Classification scenarios use the class index as
+    the output bin; regression scenarios draw a continuous output from
+    a lognormal around the class's ``log_medians`` entry with spread
+    ``DRIFT_OUT_SIGMA``, multiply it by the iteration's
+    ``output_scales`` entry, and bin it against fixed ``bin_edges``.
+    ``stall_class`` optionally marks one class's samples with the
+    stalled flag so the stall-based baseline has a signal.
     """
 
     kind: str
     iterations: int
     samples_per_iteration: int
     class_means: np.ndarray
-    class_scales: np.ndarray
     schedule: np.ndarray
     regression: bool = False
     output_scales: np.ndarray | None = None
     log_medians: np.ndarray | None = None
-    out_sigma: float = 0.25
     bin_edges: np.ndarray | None = None
     stall_class: int | None = None
 
@@ -160,7 +162,6 @@ def rare_patterns(iterations: int = 20,
         iterations=iterations,
         samples_per_iteration=samples_per_iteration,
         class_means=_default_means(3, feature_dim, separation),
-        class_scales=np.ones(3),
         schedule=schedule,
         stall_class=0,
     )
@@ -182,7 +183,6 @@ def incremental(iterations: int = 30,
         iterations=iterations,
         samples_per_iteration=samples_per_iteration,
         class_means=_default_means(3, feature_dim, separation),
-        class_scales=np.ones(3),
         schedule=schedule,
     )
 
@@ -207,12 +207,10 @@ def gradual_drift(iterations: int = 30,
         iterations=iterations,
         samples_per_iteration=samples_per_iteration,
         class_means=_default_means(3, feature_dim, separation),
-        class_scales=np.ones(3),
         schedule=schedule,
         regression=True,
         output_scales=scales,
         log_medians=np.log(np.array([2.0, 4.0, 8.0])),
-        out_sigma=0.25,
         bin_edges=np.linspace(0.0, DRIFT_BIN_MAX, DRIFT_BIN_COUNT + 1),
     )
 
@@ -248,13 +246,10 @@ def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
     row, so it takes ``k_pred`` floats, not ``n * k_pred``.
     """
     n = labels.shape[0]
-    features = (
-        spec.class_means[labels]
-        + spec.class_scales[labels, None] * rng.standard_normal((n, spec.feature_dim))
-    )
+    features = spec.class_means[labels] + rng.standard_normal((n, spec.feature_dim))
     if spec.regression:
         raw = spec.output_scales[iteration] * np.exp(
-            rng.normal(spec.log_medians[labels], spec.out_sigma)
+            rng.normal(spec.log_medians[labels], DRIFT_OUT_SIGMA)
         )
         bins = np.clip(np.digitize(raw, spec.bin_edges) - 1, 0, spec.k_out - 1)
     else:

@@ -31,7 +31,6 @@ from covmem.errors import (
     NegativeProbability,
     NonFiniteValue,
     NonNormalizedPrediction,
-    NotClassification,
     RepeatedArrival,
 )
 
@@ -187,11 +186,6 @@ class TestPriority:
 
 
 class TestLars:
-    def test_rejects_non_classification(self):
-        cfg = StrategyConfig(capacity=5, batch_size=5, k_pred=3, k_out=3)
-        with pytest.raises(NotClassification):
-            run(LarsStrategy(task="regression"), [sample(0, loss=1.0)], cfg)
-
     def test_requires_losses_without_predictor(self):
         cfg = StrategyConfig(capacity=5, batch_size=5, k_pred=3, k_out=3)
         with pytest.raises(MissingScores):

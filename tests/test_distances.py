@@ -5,6 +5,7 @@ Reference values were computed independently (scipy's base-2
 implementation is compared against numbers it did not produce.
 """
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from covmem import (
     jsd_pairwise,
     kl_divergence,
 )
+from covmem import distances
 from covmem.distances import (
     _SCRATCH,
     _euclidean_cross,
@@ -29,6 +31,12 @@ from covmem.distances import (
     distinct_rows,
 )
 from covmem.errors import EmptyInput, LengthMismatch, UndefinedDivergence
+
+
+def rows_per_block(rows, cols, k):
+    """Shrink the scratch budget so a block of ``cols`` columns holds ``rows`` rows."""
+    return patch.object(distances, "_SCRATCH", rows * cols * k)
+
 
 def assert_distance_matrix(mat):
     """Exactly symmetric, zero on the diagonal, non-negative."""
@@ -108,7 +116,9 @@ class TestJSDMatrixPaths:
     def test_blocking_does_not_change_results(self):
         rng = np.random.default_rng(6)
         rows = rng.dirichlet(np.ones(4), size=40)
-        assert np.array_equal(jsd_pairwise(rows, block=7), jsd_pairwise(rows, block=1000))
+        with rows_per_block(7, 40, 4):
+            blocked = jsd_pairwise(rows)
+        assert np.array_equal(blocked, jsd_pairwise(rows))
 
     def test_cross_matches_scalar(self):
         rng = np.random.default_rng(7)
@@ -175,13 +185,16 @@ class TestHalfMatrixAndPointMassPaths:
     @settings(max_examples=150, deadline=None)
     def test_pairwise_equals_full_square_reference(self, n, k, block, share, seed):
         rows = mixed_rows(n, k, share, seed)
-        assert np.array_equal(jsd_pairwise(rows, block=block), reference_jsd_pairwise(rows, block))
+        with rows_per_block(block, n, k):
+            got = jsd_pairwise(rows)
+        assert np.array_equal(got, reference_jsd_pairwise(rows, block))
 
     @given(st.integers(1, 40), st.integers(1, 24), st.integers(1, 50), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_all_point_mass_pairwise_equals_full_square_reference(self, n, k, block, seed):
         rows = mixed_rows(n, k, 1.0, seed)
-        got = jsd_pairwise(rows, block=block)
+        with rows_per_block(block, n, k):
+            got = jsd_pairwise(rows)
         assert np.array_equal(got, reference_jsd_pairwise(rows, block))
         assert set(np.unique(got)) <= {0.0, 1.0}
 
@@ -271,7 +284,9 @@ class TestBinMajorBranches:
     @settings(max_examples=120, deadline=None)
     def test_pairwise_equals_full_square_reference(self, n, k, block, kind, seed):
         rows = rows_of_kind(kind, n, k, seed)
-        assert np.array_equal(jsd_pairwise(rows, block=block), reference_jsd_pairwise(rows, block))
+        with rows_per_block(block, n, k):
+            got = jsd_pairwise(rows)
+        assert np.array_equal(got, reference_jsd_pairwise(rows, block))
 
     @given(st.integers(1, 25), st.integers(1, 25), st.integers(1, 64), kinds, kinds,
            st.integers(0, 2**32 - 1))
@@ -308,14 +323,14 @@ class TestCacheSizedBlocks:
         rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1e-300)
         other = rng.dirichlet(np.ones(21), size=m)
         assert _SCRATCH // (n * 21) < n  # several blocks
-        assert np.array_equal(jsd_pairwise(rows), jsd_pairwise(rows, block=n))
-        assert np.array_equal(jsd_cross(rows, other), jsd_cross(rows, other, block=n))
-        assert np.array_equal(jsd_cross(other, rows), jsd_cross(other, rows, block=m))
         features = rng.normal(size=(n, 21))
-        assert np.array_equal(_euclidean_pairwise(features),
-                              _euclidean_pairwise(features, block=n))
-        assert np.array_equal(_euclidean_cross(features, features[:m]),
-                              _euclidean_cross(features, features[:m], block=n))
+        calls = (lambda: jsd_pairwise(rows), lambda: jsd_cross(rows, other),
+                 lambda: jsd_cross(other, rows), lambda: _euclidean_pairwise(features),
+                 lambda: _euclidean_cross(features, features[:m]))
+        with rows_per_block(n, n, 21):  # every call in one block
+            one_block = [call() for call in calls]
+        for call, want in zip(calls, one_block):
+            assert np.array_equal(call(), want)
 
     def test_zero_width_features_are_at_distance_zero(self):
         features = np.zeros((5, 0))
@@ -388,7 +403,7 @@ class TestBatchSpaces:
 
     def test_euclidean_over_mean_features(self):
         batches = self.make_batches()
-        mat = distance_matrix(batches, space="features", metric="euclidean")
+        mat = distance_matrix(batches, space="features")
         expect = np.linalg.norm(batches.mean_features[0] - batches.mean_features[2])
         assert mat[0, 2] == pytest.approx(expect)
         assert_distance_matrix(mat)
@@ -396,18 +411,24 @@ class TestBatchSpaces:
     def test_cross_euclidean(self):
         batches = self.make_batches()
         mat = cross_distance_matrix(batches.take([0, 1]), batches.take([2, 3, 4]),
-                                    space="features", metric="euclidean")
+                                    space="features")
         assert mat.shape == (2, 3)
         assert mat[1, 0] == pytest.approx(
             np.linalg.norm(batches.mean_features[1] - batches.mean_features[2])
         )
 
-    def test_unknown_space_or_metric(self):
+    def test_features_space_is_the_euclidean_kernel_bit_for_bit(self):
+        batches = self.make_batches(n=40)
+        want = _euclidean_pairwise(batches.mean_features)
+        assert distance_matrix(batches, "features").tobytes() == want.tobytes()
+        other = self.make_batches(seed=10, n=7)
+        want = _euclidean_cross(batches.mean_features, other.mean_features)
+        assert cross_distance_matrix(batches, other, "features").tobytes() == want.tobytes()
+
+    def test_unknown_space(self):
         batches = self.make_batches()
         with pytest.raises(ValueError):
             distance_matrix(batches, space="bogus")
-        with pytest.raises(ValueError):
-            distance_matrix(batches, metric="bogus")
 
     def test_empty_batches(self):
         with pytest.raises(EmptyInput):
@@ -424,11 +445,11 @@ class TestBatchSpaces:
             # -0.0 equals 0.0 as a value but not as bytes, so it stays its own row
             mean_features=np.array([[0.0], [-0.0], [0.0], [1.0], [0.0], [-0.0]]),
         )
-        for space, metric, first, types in [
-            ("pred", "jsd", [0, 1, 3], [0, 1, 0, 2, 1, 0]),
-            ("out", "jsd", [0, 1, 3], [0, 1, 0, 2, 1, 1]),
-            ("features", "euclidean", [0, 1, 3], [0, 1, 0, 2, 0, 1]),
+        for space, first, types in [
+            ("pred", [0, 1, 3], [0, 1, 0, 2, 1, 0]),
+            ("out", [0, 1, 3], [0, 1, 0, 2, 1, 1]),
+            ("features", [0, 1, 3], [0, 1, 0, 2, 0, 1]),
         ]:
-            got_first, got_types = distinct_rows(batches, space, metric)
+            got_first, got_types = distinct_rows(batches, space)
             np.testing.assert_array_equal(got_first, first)
             np.testing.assert_array_equal(got_types, types)

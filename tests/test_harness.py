@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from covmem import (
+    LarsStrategy,
     RunConfig,
     balanced_accuracy,
     parse_config,
@@ -23,6 +24,7 @@ from covmem.errors import (
     NegativeTemperature,
     NonPositiveBandwidth,
     NonPositiveCount,
+    NotClassification,
     UnbalancedEvalSet,
 )
 
@@ -142,6 +144,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="separation"):
             RunConfig(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns",
                       separation=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_a_committee_below_one_at_construction(self, value):
+        with pytest.raises(ConfigError, match="committee_size"):
+            RunConfig(strategy="qbc", capacity=10, batch_size=5, scenario="rare_patterns",
+                      committee_size=value)
+
+    def test_rejects_an_unknown_qbc_vote_at_construction(self):
+        with pytest.raises(ConfigError, match="qbc_vote"):
+            RunConfig(strategy="qbc", capacity=10, batch_size=5, scenario="rare_patterns",
+                      qbc_vote="hard")
+
+    def test_rejects_a_negative_seed_at_construction(self):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns",
+                      seed=-1)
 
     def test_file_runs_check_their_bin_counts(self):
         with pytest.raises(ConfigError, match="k_out") as info:
@@ -356,6 +374,26 @@ class TestRun:
         for r in reports:
             assert np.isnan(r.balanced_accuracy)  # no balanced split from files
             assert np.isfinite(r.mean_logscore)
+
+    def test_an_empty_record_file_is_empty_input_before_any_work(self, tmp_path):
+        path = tmp_path / "empty.ndjson"
+        path.write_text("")
+        out_dir = tmp_path / "out"
+        config = RunConfig(strategy="fifo", capacity=10, batch_size=5, input=str(path),
+                           k_pred=3, k_out=3, out_dir=str(out_dir))
+        with pytest.raises(EmptyInput, match="empty.ndjson"):
+            run(config)
+        assert not out_dir.exists()
+
+    def test_lars_refuses_a_regression_scenario_before_any_work(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(LarsStrategy, "select", lambda *args: calls.append(args))
+        out_dir = tmp_path / "out"
+        config = small_config(strategy="lars", scenario="gradual_drift", iterations=3,
+                              out_dir=str(out_dir))
+        with pytest.raises(NotClassification, match="gradual_drift"):
+            run(config)
+        assert not out_dir.exists() and not calls
 
     def test_oracle_predictor_needs_a_scenario(self, tmp_path):
         from covmem import write_samples

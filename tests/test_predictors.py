@@ -127,10 +127,6 @@ class TestCentroid:
                 SamplePool.from_samples([labeled([0.0], 0, 0), labeled([0.0, 1.0], 1, 1)])
             )
 
-    def test_softness_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CentroidPredictor(2, softness=0.0)
-
 
 class TestLikelihood:
     def two_class(self):
@@ -168,12 +164,6 @@ class TestLikelihood:
         assert p.predict(np.array([-6.0])).max() > 0.999
         assert p.predict(np.array([-12.0])).max() == pytest.approx(0.5, abs=1e-6)
 
-    def test_wider_scale_softens(self):
-        train = SamplePool.from_samples([labeled([0.0], 0, 0), labeled([4.0], 1, 1)])
-        sharp = LikelihoodPredictor(2, scale=1.0).fit(train).predict(np.array([1.0]))
-        soft = LikelihoodPredictor(2, scale=3.0).fit(train).predict(np.array([1.0]))
-        assert soft.max() < sharp.max()
-
     def test_predict_many_matches_predict(self):
         rng = np.random.default_rng(3)
         train = [labeled(rng.normal(size=3), int(rng.integers(3)), i) for i in range(30)]
@@ -201,12 +191,6 @@ class TestLikelihood:
     def test_dimension_mismatch(self):
         with pytest.raises(PredictorDimensionMismatch):
             self.two_class().predict(np.zeros(3))
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            LikelihoodPredictor(2, scale=0.0)
-        with pytest.raises(ValueError):
-            LikelihoodPredictor(2, background=0.0)
 
 
 class TestOracle:

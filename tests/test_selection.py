@@ -322,6 +322,18 @@ class TestSelect:
             assert outcome.rci == rci(kept, reference_before, cfg.bandwidth, pred_metric)
             assert outcome.retrain == (outcome.rci >= cfg.threshold)
 
+    def test_unknown_pred_metric_fails_before_the_memory_changes(self):
+        cfg = self.config(capacity=6)
+        pool = [sample(i, i % 4, np.eye(4)[i % 4]) for i in range(10)]
+        memory, first = self.run(pool, cfg)
+        assert first.retrain
+        resident, reference = memory.pool, memory.last_train_batches
+        arrivals = [sample(10 + i, i % 4, np.eye(4)[(i + 1) % 4]) for i in range(5)]
+        with pytest.raises(ValueError, match="bogus"):
+            select(memory, arrivals, cfg, None, np.random.default_rng(1), pred_metric="bogus")
+        assert memory.pool is resident and memory.last_train_batches is reference
+        np.testing.assert_array_equal(memory.pool.arrival_index, first.kept_ids)
+
     def test_empty_everything(self):
         cfg = self.config()
         with pytest.raises(EmptyInput):

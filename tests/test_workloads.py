@@ -294,7 +294,6 @@ class TestSpecValidation:
                 iterations=1,
                 samples_per_iteration=10,
                 class_means=np.zeros((2, 2)),
-                class_scales=np.ones(2),
                 schedule=np.array([[0.6, 0.6]]),
             )
 
@@ -305,7 +304,6 @@ class TestSpecValidation:
                 iterations=2,
                 samples_per_iteration=10,
                 class_means=np.zeros((2, 2)),
-                class_scales=np.ones(2),
                 schedule=np.array([[1.0, 0.0]]),
             )
 
@@ -316,7 +314,6 @@ class TestSpecValidation:
                 iterations=1,
                 samples_per_iteration=10,
                 class_means=np.zeros((2, 2)),
-                class_scales=np.ones(2),
                 schedule=np.array([[1.5, -0.5]]),
             )
 
@@ -327,7 +324,6 @@ class TestSpecValidation:
                 iterations=1,
                 samples_per_iteration=10,
                 class_means=np.zeros((2, 2)),
-                class_scales=np.ones(2),
                 schedule=np.array([[0.5, 0.5]]),
                 regression=True,
             )
