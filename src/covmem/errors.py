@@ -42,6 +42,10 @@ class UndefinedDivergence(CovmemError, ValueError):
     """KL divergence is undefined: p assigns mass where q has none."""
 
 
+class NonIncreasingPositions(CovmemError, ValueError):
+    """Positions that must be strictly increasing repeat or go back."""
+
+
 class NonPositiveCount(CovmemError, ValueError):
     """A count that must be positive (a capacity, batch size or bin count) is not."""
 

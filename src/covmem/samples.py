@@ -15,6 +15,7 @@ check a pool's columns against the same contract.
 import json
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     NegativeProbability,
     NegativeTemperature,
     NonFiniteValue,
+    NonIncreasingPositions,
     NonNormalizedPrediction,
     NonPositiveBandwidth,
     NonPositiveCount,
@@ -196,15 +198,23 @@ class SamplePool:
 
         ``features`` and ``prediction`` of each row are views into the
         pool's columns, and the rows keep the pool itself (see
-        :class:`PoolRows`).  Each row is built in C from the zipped
-        columns, with no Python frame per row.
+        :class:`PoolRows`).  A ``prediction`` column that repeats one
+        row (stride 0, as in every chunk :func:`~covmem.workloads.generate`
+        yields) gives every row the same view object, ``prediction[0]``,
+        instead of one view per row.  Each row is built in C from the
+        zipped columns, with no Python frame per row.
         """
-        losses = self.loss.astype(object)
-        losses[np.isnan(self.loss)] = None
+        n = len(self)
+        predictions = self.prediction
+        if predictions.strides[0] == 0 and n:
+            predictions = repeat(predictions[0], n)
+        scored = ~np.isnan(self.loss)
+        losses = np.full(n, None, dtype=object)
+        losses[scored] = self.loss[scored]
         rows = PoolRows(map(_new_row, zip(
             self.features,
             self.output_bin.tolist(),
-            self.prediction,
+            predictions,
             self.arrival_index.tolist(),
             self.raw_output.tolist(),
             losses.tolist(),
@@ -285,7 +295,17 @@ class BatchTable:
         return self.size.shape[0]
 
     def take(self, idx) -> "BatchTable":
-        """Batches at increasing positions ``idx``, with their members."""
+        """Batches at increasing positions ``idx``, with their members.
+
+        Members are kept in table order, so positions that repeat or go
+        back would pair batches with the wrong members: they raise
+        :class:`NonIncreasingPositions` instead.
+        """
+        backward = np.flatnonzero(np.diff(idx) <= 0)
+        if backward.size:
+            i = backward[0] + 1
+            raise NonIncreasingPositions(
+                f"batch positions must increase: idx[{i}] = {idx[i]} follows {idx[i - 1]}")
         chosen = np.zeros(len(self), dtype=bool)
         chosen[idx] = True
         return BatchTable(

@@ -278,7 +278,8 @@ def generate(spec: ScenarioSpec, seed: int = 0):
     Each chunk is a :class:`~covmem.samples.PoolRows`: a tuple of
     :class:`~covmem.samples.Sample` rows that carries the pool it was
     cut from, so ``SamplePool.from_samples(chunk)`` costs nothing.
-    Predictions are uniform placeholders, read-only views of one row.
+    Predictions are uniform placeholders: every row of a chunk holds
+    the same read-only view object (see :meth:`SamplePool.rows`).
     Class labels are drawn from the iteration's schedule row, so
     realized mixture fractions carry ordinary multinomial noise around
     the scheduled weights.

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from covmem import (
+    BatchTable,
     Sample,
     SamplePool,
     UniformPredictor,
@@ -9,7 +12,7 @@ from covmem import (
     bbdr,
     mixture,
 )
-from covmem.errors import EmptyInput, NonFiniteValue
+from covmem.errors import EmptyInput, NonFiniteValue, NonIncreasingPositions
 
 
 def sample(i, output_bin, prediction, features=None):
@@ -156,6 +159,19 @@ class TestBatchTable:
         chosen = [all_members[i] for i in idx]
         expected = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
         np.testing.assert_array_equal(taken.member_ids, expected)
+
+    @pytest.mark.parametrize("idx, first_bad", [([1, 0], "idx[1] = 0 follows 1"),
+                                                ([0, 0], "idx[1] = 0 follows 0"),
+                                                ([0, 1, 1], "idx[2] = 1 follows 1")])
+    def test_take_refuses_positions_that_do_not_increase(self, idx, first_bad):
+        """Members are kept in table order, so a reordered or repeated
+        position would hand a batch another batch's members."""
+        table = BatchTable(member_ids=np.array([10, 11, 12, 20]), size=np.array([3, 1]),
+                           pred_dist=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                           out_bin=np.array([0, 1]), mean_features=np.zeros((2, 1)))
+        with pytest.raises(NonIncreasingPositions, match=re.escape(first_bad)):
+            table.take(np.array(idx))
+        np.testing.assert_array_equal(table.take([1]).member_ids, [20])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_members_share_their_batch_out_bin(self, seed):

@@ -270,6 +270,43 @@ class TestSamplePool:
         for f in fields(SamplePool):
             np.testing.assert_array_equal(getattr(restacked, f.name), getattr(pool, f.name))
 
+    def test_a_repeated_prediction_row_is_one_read_only_object(self):
+        """A stride-0 prediction column gives every row the same view, and
+        the rows still stack back into the pool's columns."""
+        stacked = SamplePool.from_samples([make_sample(i, loss=0.5 if i % 2 else None)
+                                           for i in range(4)])
+        pool = stacked.with_columns(
+            prediction=np.broadcast_to(stacked.prediction[0], stacked.prediction.shape))
+        rows = pool.rows()
+        shared = rows[0].prediction
+        assert all(r.prediction is shared for r in rows)
+        assert not shared.flags.writeable
+        assert shared.dtype == pool.prediction.dtype
+        np.testing.assert_array_equal(shared, pool.prediction[0])
+        restacked = SamplePool.from_samples(list(rows))
+        for f in fields(SamplePool):
+            got, want = getattr(restacked, f.name), getattr(pool, f.name)
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), f.name
+
+    @given(sample_lists())
+    def test_distinct_prediction_rows_keep_one_view_each(self, samples):
+        pool = SamplePool.from_samples(samples)
+        rows = pool.rows()
+        assert len({id(r.prediction) for r in rows}) == len(rows)
+        for i, r in enumerate(rows):
+            np.testing.assert_array_equal(r.prediction, pool.prediction[i])
+
+    def test_read_rows_keep_one_view_each_even_when_equal(self, tmp_path):
+        """The choice follows the column's strides, not its values."""
+        pool = read_back(tmp_path, *(make_sample(i) for i in range(3)))
+        rows = pool.rows()
+        assert rows[0].prediction is not rows[1].prediction
+        assert rows[1].prediction is not rows[2].prediction
+        for i, r in enumerate(rows):
+            assert r.prediction.flags.writeable == pool.prediction.flags.writeable
+            np.testing.assert_array_equal(r.prediction, pool.prediction[i])
+
     def test_columns_must_share_a_length(self):
         pool = SamplePool.from_samples([make_sample(0), make_sample(1)])
         with pytest.raises(LengthMismatch):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -153,6 +154,29 @@ class TestGenerate:
         (chunk,) = list(generate(spec, seed=0))
         for s in chunk:
             np.testing.assert_allclose(s.prediction, 1.0 / spec.k_pred)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_placeholder_predictions_are_one_shared_read_only_view(self, kind):
+        spec = build_scenario(kind, iterations=3, samples_per_iteration=30)
+        for rows in (next(generate(spec, seed=0)), eval_set(spec, 1, 10, seed=0).rows()):
+            shared = rows[0].prediction
+            assert all(s.prediction is shared for s in rows)
+            assert not shared.flags.writeable
+            np.testing.assert_array_equal(shared, rows.pool.prediction[0])
+
+    def test_rows_of_a_generated_chunk_stay_small(self):
+        """Traced bytes per row of a 10k-row chunk: 407 with one prediction
+        view per row, 295 with one shared view (Python 3.11, numpy 2.4)."""
+        spec = rare_patterns(iterations=1, samples_per_iteration=10_000)
+        pool = next(generate(spec, seed=0)).pool
+        tracemalloc.start()
+        try:
+            rows = pool.rows()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10_000
+        assert held / len(rows) < 350
 
 
 class TestEvalSet:
