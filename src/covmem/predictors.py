@@ -107,10 +107,11 @@ def _class_means(pool: SamplePool, n_bins: int) -> tuple[np.ndarray, np.ndarray]
     """Mean feature vector per output bin plus a seen-bin mask."""
     if not len(pool):
         raise EmptyTrainingSet("predictor needs at least one training sample")
-    # np.add.at adds rows one at a time in pool order, so the sums are
-    # bit-for-bit those of a running per-sample loop.
-    sums = np.zeros((n_bins, pool.features.shape[1]))
-    np.add.at(sums, pool.output_bin, pool.features)
+    # bincount adds one column's weights in pool order, so the sums are
+    # bit-for-bit those of np.add.at and of a running per-sample loop.
+    sums = np.empty((n_bins, pool.features.shape[1]))
+    for j, column in enumerate(pool.features.T):
+        sums[:, j] = np.bincount(pool.output_bin, weights=column, minlength=n_bins)
     counts = np.bincount(pool.output_bin, minlength=n_bins).astype(float)
     seen = counts > 0
     means = np.zeros_like(sums)

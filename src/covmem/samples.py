@@ -3,9 +3,10 @@
 A :class:`SamplePool` holds samples as columns, one array per field, and
 the package's producers and consumers all take and return pools.
 :class:`Sample` is the row type at the API edge, an immutable named
-tuple compared and hashed by identity, built only for the chunks a
-stream yields (:class:`PoolRows`); :meth:`SamplePool.from_samples` is
-the one edge back.  A :class:`BatchTable` holds the batches of one
+tuple compared and hashed by identity.  The chunks a stream yields are
+:class:`PoolRows`, a sequence of rows over one pool that builds its
+rows only when first iterated or indexed; :meth:`SamplePool.from_samples`
+is the one edge back.  A :class:`BatchTable` holds the batches of one
 coverage ``select`` call as columns, one row per batch, and the memory
 keeps one as its retrain reference.  Categorical distributions are
 plain 1-D ``numpy`` arrays that sum to one: :func:`validate_distribution`
@@ -13,6 +14,7 @@ checks one vector, and ``selection.ingest`` and :func:`read_samples`
 check a pool's columns against the same contract.
 """
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import repeat
@@ -194,50 +196,81 @@ class SamplePool:
         return self.take(np.argsort(arrival, kind="stable"))
 
     def rows(self) -> "PoolRows":
-        """Materialise every row as a :class:`Sample`, in pool order.
+        """Every row as a :class:`Sample`, in pool order, built on first use.
 
-        ``features`` and ``prediction`` of each row are views into the
-        pool's columns, and the rows keep the pool itself (see
-        :class:`PoolRows`).  A ``prediction`` column that repeats one
-        row (stride 0, as in every chunk :func:`~covmem.workloads.generate`
-        yields) gives every row the same view object, ``prediction[0]``,
-        instead of one view per row.  Each row is built in C from the
-        zipped columns, with no Python frame per row.
+        Returns at once: the rows are built the first time the result is
+        iterated or indexed (see :class:`PoolRows`), and ``len()`` or
+        :meth:`from_samples` never build them.
         """
-        n = len(self)
-        predictions = self.prediction
-        if predictions.strides[0] == 0 and n:
-            predictions = repeat(predictions[0], n)
-        scored = ~np.isnan(self.loss)
-        losses = np.full(n, None, dtype=object)
-        losses[scored] = self.loss[scored]
-        rows = PoolRows(map(_new_row, zip(
-            self.features,
-            self.output_bin.tolist(),
-            predictions,
-            self.arrival_index.tolist(),
-            self.raw_output.tolist(),
-            losses.tolist(),
-            self.stalled.tolist(),
-            self.workload.tolist(),
-            self.noise.tolist(),
-        )))
-        rows.pool = self
-        return rows
+        return PoolRows(self)
 
 
-class PoolRows(tuple):
-    """A tuple of :class:`Sample` rows that keeps the pool they were cut from.
+class PoolRows(Sequence):
+    """The :class:`Sample` rows of one pool, built on first use and kept.
 
-    Built by :meth:`SamplePool.rows` only; ``pool`` holds exactly the
-    columns that stacking the rows would give, so
-    :meth:`SamplePool.from_samples` returns it instead of stacking again.
-    That shortcut is sound because neither the tuple nor any row's
-    fields can be reassigned after they are built.  Slicing or copying
-    into a list gives plain rows that stack as usual.
+    Made by :meth:`SamplePool.rows` only.  ``len()``, ``bool()``, ``pool``
+    and :meth:`SamplePool.from_samples`, which returns ``pool`` instead
+    of stacking, read only the pool.  The first iteration or index
+    builds every row at once, and every later read returns the same row
+    objects.  ``features`` and ``prediction`` of each row are views into
+    the pool's columns; a ``prediction`` column that repeats one row
+    (stride 0, as in every chunk :func:`~covmem.workloads.generate`
+    yields) gives every row the same view object, ``prediction[0]``.
+    A slice is a plain tuple of rows and stacks as any other sequence
+    of rows.  The shortcut in :meth:`SamplePool.from_samples` is sound
+    because neither ``pool`` nor any row's fields can be reassigned.
     """
 
-    pool: SamplePool
+    __slots__ = ("_pool", "_rows")
+
+    def __init__(self, pool: SamplePool):
+        self._pool = pool
+        self._rows = None
+
+    @property
+    def pool(self) -> SamplePool:
+        """The pool the rows are cut from."""
+        return self._pool
+
+    def __len__(self) -> int:
+        return len(self._pool)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def _built(self) -> tuple:
+        if self._rows is None:
+            self._rows = _build_rows(self._pool)
+        return self._rows
+
+
+def _build_rows(pool: SamplePool) -> tuple:
+    """Every row of ``pool`` as a :class:`Sample`, in pool order (see :class:`PoolRows`).
+
+    Each row is built in C from the zipped columns, with no Python frame
+    per row.
+    """
+    n = len(pool)
+    predictions = pool.prediction
+    if predictions.strides[0] == 0 and n:
+        predictions = repeat(predictions[0], n)
+    scored = ~np.isnan(pool.loss)
+    losses = np.full(n, None, dtype=object)
+    losses[scored] = pool.loss[scored]
+    return tuple(map(_new_row, zip(
+        pool.features,
+        pool.output_bin.tolist(),
+        predictions,
+        pool.arrival_index.tolist(),
+        pool.raw_output.tolist(),
+        losses.tolist(),
+        pool.stalled.tolist(),
+        pool.workload.tolist(),
+        pool.noise.tolist(),
+    )))
 
 
 def _stack_fields(rows, dtype=None) -> SamplePool:

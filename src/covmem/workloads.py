@@ -10,7 +10,8 @@ classes mix.  Three builders cover the drift shapes of interest:
 
 Samples are drawn as :class:`~covmem.samples.SamplePool` columns, and
 evaluation sets are pools.  Streams yield one chunk per iteration as
-:class:`~covmem.samples.PoolRows`, the one place rows are built.
+:class:`~covmem.samples.PoolRows` over its pool, whose ``Sample`` rows
+are built only if a consumer iterates or indexes the chunk.
 Arrival indices are a single global counter so strategies can
 reconstruct stream position.
 """
@@ -275,11 +276,12 @@ def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
 def generate(spec: ScenarioSpec, seed: int = 0):
     """Yield one chunk of samples per iteration, deterministically.
 
-    Each chunk is a :class:`~covmem.samples.PoolRows`: a tuple of
-    :class:`~covmem.samples.Sample` rows that carries the pool it was
-    cut from, so ``SamplePool.from_samples(chunk)`` costs nothing.
-    Predictions are uniform placeholders: every row of a chunk holds
-    the same read-only view object (see :meth:`SamplePool.rows`).
+    Each chunk is a :class:`~covmem.samples.PoolRows`: a sequence of
+    :class:`~covmem.samples.Sample` rows over the pool it was drawn as,
+    so ``SamplePool.from_samples(chunk)`` costs nothing and the rows are
+    built only when the chunk is first iterated or indexed.  Predictions
+    are uniform placeholders: every row of a chunk holds the same
+    read-only view object (see :class:`~covmem.samples.PoolRows`).
     Class labels are drawn from the iteration's schedule row, so
     realized mixture fractions carry ordinary multinomial noise around
     the scheduled weights.
@@ -319,9 +321,10 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     read the flag.
 
     Each chunk is taken in as a pool, its columns are copied with the
-    replaced positions overwritten, and it comes out as pool-backed
-    rows, like the chunks of :func:`generate`.  The random draws per
-    replaced position are the output bin, then the raw output
+    replaced positions overwritten, and it comes out as
+    :class:`~covmem.samples.PoolRows` over the new pool, like the chunks
+    of :func:`generate`, so no row is built here either.  The random
+    draws per replaced position are the output bin, then the raw output
     (regression only), then the features.
     """
     if not 0.0 <= fraction <= 1.0:

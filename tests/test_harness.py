@@ -482,6 +482,23 @@ class TestGoldenOutputs:
         assert sha256_of(tmp_path / "out" / "report.csv") == GOLDEN_OUTPUTS["file_fifo_histogram"]
 
 
+@pytest.mark.parametrize("overrides, golden", [
+    (dict(snapshots=True), "rare_patterns_centroid"),
+    (dict(scenario="gradual_drift", iterations=3, predictor="likelihood", noise_fraction=0.05),
+     "gradual_drift_likelihood"),
+])
+def test_scenario_runs_build_no_sample_rows(tmp_path, monkeypatch, overrides, golden):
+    """Generated and noisy chunks reach selection as their pools: no row is built."""
+    from covmem import samples
+
+    def no_rows(pool):
+        raise AssertionError("a Sample row was built")
+
+    monkeypatch.setattr(samples, "_build_rows", no_rows)
+    run(small_config(out_dir=str(tmp_path), **overrides))
+    assert sha256_of(tmp_path / "report.csv") == GOLDEN_OUTPUTS[golden]
+
+
 def test_file_run_stacks_the_file_once(tmp_path, monkeypatch):
     """Selection and evaluation share each chunk's pool; no row is stacked twice."""
     from covmem import samples, write_samples

@@ -13,6 +13,7 @@ from covmem import (
     with_losses,
 )
 from covmem.errors import EmptyTrainingSet, LengthMismatch, PredictorDimensionMismatch
+from covmem.predictors import _class_means
 
 WORST_LOGSCORE = -39.86313713864835  # log2 of the 1e-12 probability floor
 # 1 / (1 + e^-9): two centroids 3 apart, query sitting on the first one
@@ -114,6 +115,26 @@ class TestCentroid:
         p = CentroidPredictor(6).fit(SamplePool.from_samples(train))
         np.testing.assert_array_equal(p._seen, counts > 0)
         np.testing.assert_array_equal(p._centroids[:5], sums[:5] / counts[:5, None])
+
+    @pytest.mark.parametrize("n, d, n_bins, dtype", [
+        (20_000, 8, 21, float), (4_000, 16, 3, float), (1, 3, 4, float), (997, 5, 7, np.float32),
+    ])
+    def test_class_means_equal_add_at_byte_for_byte(self, n, d, n_bins, dtype):
+        """Per-column bincount sums equal np.add.at's, magnitudes 1e-8..1e8 mixed."""
+        rng = np.random.default_rng(n + d)
+        features = (rng.choice([-1.0, 1.0], size=(n, d))
+                    * 10.0 ** rng.uniform(-8, 8, size=(n, d))).astype(dtype)
+        bins = rng.integers(n_bins - 1, size=n)  # the last bin stays unseen
+        pool = SamplePool.from_samples([labeled(features[0], 0)]).take([0] * n).with_columns(
+            features=features, output_bin=bins)
+        sums = np.zeros((n_bins, d))
+        np.add.at(sums, bins, features)
+        counts = np.bincount(bins, minlength=n_bins).astype(float)
+        want = np.zeros_like(sums)
+        want[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        means, seen = _class_means(pool, n_bins)
+        assert means.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(seen, counts > 0)
 
     def test_dimension_mismatch(self):
         p = self.two_class()

@@ -1,6 +1,8 @@
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from covmem import (
     validate_distribution,
     write_samples,
 )
+from covmem import samples as samples_module
 from covmem.samples import PoolRows
 from covmem.errors import (
     BadFraction,
@@ -259,10 +262,17 @@ class TestSamplePool:
 
     @given(sample_lists())
     def test_rows_carry_their_pool(self, samples):
+        """Rows are a sequence over their pool, built once on first use."""
         pool = SamplePool.from_samples(samples)
-        rows = pool.rows()
-        assert isinstance(rows, PoolRows) and isinstance(rows, tuple)
-        assert SamplePool.from_samples(rows) is pool
+        with mock.patch.object(samples_module, "_build_rows", side_effect=AssertionError):
+            rows = pool.rows()
+            assert isinstance(rows, PoolRows) and isinstance(rows, Sequence)
+            assert len(rows) == len(samples) and bool(rows) == bool(samples)
+            assert rows.pool is pool and SamplePool.from_samples(rows) is pool
+        first, again = list(rows), list(rows)
+        assert len(first) == len(samples)
+        assert all(a is b for a, b in zip(first, again))
+        assert all(rows[i] is row for i, row in enumerate(first))
         # slices and lists are plain rows again, stacked as any other
         assert type(rows[:]) is tuple and SamplePool.from_samples(rows[:]) is not pool
         restacked = SamplePool.from_samples(list(rows))
