@@ -49,7 +49,8 @@ class SelectionStrategy(ABC):
                rng: np.random.Generator) -> selection.SelectionOutcome:
         """Update ``memory`` with ``new_samples``; return what happened.
 
-        ``new_samples`` is a :class:`~covmem.samples.SamplePool` or
+        ``new_samples`` is a :class:`~covmem.samples.SamplePool`, as
+        every stream chunk is, or a sequence of
         :class:`~covmem.samples.Sample` rows, with arrival indices new to
         the memory.  Every built-in strategy takes it in through
         :func:`~covmem.selection.ingest`, which rejects bad input with a

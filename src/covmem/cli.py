@@ -74,7 +74,7 @@ def _cmd_gen(args) -> int:
         args.scenario, args.seed, args.noise, iterations=args.iterations,
         samples_per_iteration=args.samples_per_iteration, stationary=args.stationary,
     )
-    pool = SamplePool.concat(SamplePool.from_samples(chunk) for chunk in stream)
+    pool = SamplePool.concat(stream)
     write_samples(args.out, pool)
     print(f"wrote {len(pool)} samples ({spec.iterations} iterations) to {args.out}")
     return 0

@@ -65,7 +65,6 @@ class RunConfig:
     iterations: int | None = None
     samples_per_iteration: int | None = None
     feature_dim: int = 16
-    separation: float = 4.0
     stationary: bool = False
     noise_fraction: float = 0.0
     predictor: str = "centroid"
@@ -106,10 +105,11 @@ class RunConfig:
             raise ConfigError(f"qbc_vote must be one of {QBC_VOTES}, got {self.qbc_vote!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not np.isfinite(self.separation):
-            raise ConfigError(f"separation must be finite, got {self.separation}")
         if self.input is not None and (self.k_pred is None or self.k_out is None):
             raise ConfigError("file-based runs must set k_pred and k_out")
+        if self.k_pred is not None and self.k_out is not None and self.k_out > self.k_pred:
+            # predictors index their k_pred-bin predictions by output bin
+            raise ConfigError(f"k_out {self.k_out} exceeds k_pred {self.k_pred}")
         if not 0.0 <= self.noise_fraction <= 1.0:
             raise ConfigError(f"noise_fraction must lie in [0, 1], got {self.noise_fraction}")
         if self.input is not None and self.noise_fraction:
@@ -301,8 +301,7 @@ def _stream_and_spec(config: RunConfig):
         stream, spec = scenario_stream(
             config.scenario, config.seed, config.noise_fraction,
             iterations=config.iterations, samples_per_iteration=config.samples_per_iteration,
-            feature_dim=config.feature_dim, separation=config.separation,
-            stationary=config.stationary,
+            feature_dim=config.feature_dim, stationary=config.stationary,
         )
         return stream, spec, spec.k_pred, spec.k_out, spec.n_classes
     # each chunk is a pool, which both the strategy's select and the evaluation take

@@ -4,9 +4,9 @@ A :class:`SamplePool` holds samples as columns, one array per field, and
 the package's producers and consumers all take and return pools.
 :class:`Sample` is the row type at the API edge, an immutable named
 tuple compared and hashed by identity.  The chunks a stream yields are
-:class:`PoolRows`, a sequence of rows over one pool that builds its
-rows only when first iterated or indexed; :meth:`SamplePool.from_samples`
-is the one edge back.  A :class:`BatchTable` holds the batches of one
+pools too.  A pool iterates as its rows, built on the first iteration
+and kept; :meth:`SamplePool.from_samples` is the one edge back from
+rows.  A :class:`BatchTable` holds the batches of one
 coverage ``select`` call as columns, one row per batch, and the memory
 keeps one as its retrain reference.  Categorical distributions are
 plain 1-D ``numpy`` arrays that sum to one: :func:`validate_distribution`
@@ -14,9 +14,8 @@ checks one vector, and ``selection.ingest`` and :func:`read_samples`
 check a pool's columns against the same contract.
 """
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from itertools import repeat
 from typing import NamedTuple
 
@@ -40,7 +39,6 @@ from .errors import (
 __all__ = [
     "Sample",
     "SamplePool",
-    "PoolRows",
     "BatchTable",
     "ReplayMemory",
     "StrategyConfig",
@@ -122,6 +120,15 @@ class SamplePool:
     columns are 1-D.  An unscored sample has ``loss`` NaN.  Operations
     return new pools and never write into a column, so pools that share
     a column stay independent.
+
+    Iterating a pool yields its :class:`Sample` rows in pool order.  The
+    first iteration builds every row at once, and every later one
+    yields the same row objects; ``len()``, ``bool()`` and every
+    operation here read only the columns.  ``features`` and
+    ``prediction`` of each row are views into the pool's columns; a
+    ``prediction`` column that repeats one row (stride 0, as in every
+    chunk :func:`~covmem.workloads.generate` yields) gives every row the
+    same view object, ``prediction[0]``.
     """
 
     features: np.ndarray
@@ -155,13 +162,11 @@ class SamplePool:
     def from_samples(cls, samples) -> "SamplePool":
         """``samples`` as a pool: the one place :class:`Sample` rows are stacked.
 
-        A pool comes back unchanged and :class:`PoolRows` hand over their
-        pool; any other sequence of rows is stacked into columns, in order.
+        A pool comes back unchanged; any other sequence of rows is
+        stacked into columns, in order.
         """
         if isinstance(samples, SamplePool):
             return samples
-        if isinstance(samples, PoolRows):
-            return samples.pool
         return _stack_fields(samples) if samples else cls.empty()
 
     @classmethod
@@ -195,60 +200,16 @@ class SamplePool:
             return self
         return self.take(np.argsort(arrival, kind="stable"))
 
-    def rows(self) -> "PoolRows":
-        """Every row as a :class:`Sample`, in pool order, built on first use.
-
-        Returns at once: the rows are built the first time the result is
-        iterated or indexed (see :class:`PoolRows`), and ``len()`` or
-        :meth:`from_samples` never build them.
-        """
-        return PoolRows(self)
-
-
-class PoolRows(Sequence):
-    """The :class:`Sample` rows of one pool, built on first use and kept.
-
-    Made by :meth:`SamplePool.rows` only.  ``len()``, ``bool()``, ``pool``
-    and :meth:`SamplePool.from_samples`, which returns ``pool`` instead
-    of stacking, read only the pool.  The first iteration or index
-    builds every row at once, and every later read returns the same row
-    objects.  ``features`` and ``prediction`` of each row are views into
-    the pool's columns; a ``prediction`` column that repeats one row
-    (stride 0, as in every chunk :func:`~covmem.workloads.generate`
-    yields) gives every row the same view object, ``prediction[0]``.
-    A slice is a plain tuple of rows and stacks as any other sequence
-    of rows.  The shortcut in :meth:`SamplePool.from_samples` is sound
-    because neither ``pool`` nor any row's fields can be reassigned.
-    """
-
-    __slots__ = ("_pool", "_rows")
-
-    def __init__(self, pool: SamplePool):
-        self._pool = pool
-        self._rows = None
-
-    @property
-    def pool(self) -> SamplePool:
-        """The pool the rows are cut from."""
-        return self._pool
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
     def __iter__(self):
-        return iter(self._built())
+        return iter(self._rows)
 
-    def _built(self) -> tuple:
-        if self._rows is None:
-            self._rows = _build_rows(self._pool)
-        return self._rows
+    @cached_property
+    def _rows(self) -> tuple:
+        return _build_rows(self)
 
 
 def _build_rows(pool: SamplePool) -> tuple:
-    """Every row of ``pool`` as a :class:`Sample`, in pool order (see :class:`PoolRows`).
+    """Every row of ``pool`` as a :class:`Sample`, in pool order (see :class:`SamplePool`).
 
     Each row is built in C from the zipped columns, with no Python frame
     per row.

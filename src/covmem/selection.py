@@ -194,12 +194,13 @@ def ingest(memory: ReplayMemory, new_samples, cfg: StrategyConfig,
            predictor, scored: bool = False) -> SamplePool:
     """The memory's residents followed by a chunk's arrivals: what a strategy selects from.
 
-    The chunk, a pool or rows, is taken as a pool by
-    :meth:`~covmem.samples.SamplePool.from_samples`, re-predicted by
-    ``predictor`` and, with ``scored``, given losses.  The arrivals then
-    follow the residents in arrival order.  This is the boundary every
-    strategy takes input through, so the chunk is checked here, and a
-    chunk that fails a check leaves the memory as it was:
+    The chunk, a pool as every stream yields or a sequence of rows, is
+    taken as a pool by :meth:`~covmem.samples.SamplePool.from_samples`,
+    re-predicted by ``predictor`` and, with ``scored``, given losses; no
+    row is built.  The arrivals then follow the residents in arrival
+    order.  This is the boundary every strategy takes input through, so
+    the chunk is checked here, and a chunk that fails a check leaves the
+    memory as it was:
 
     - features must be finite (:class:`~covmem.errors.NonFiniteValue`);
     - output bins must lie in ``[0, cfg.k_out)``
@@ -261,8 +262,9 @@ def select(
         samples, and on retraining ``last_train_batches`` holds the
         table of surviving batches as the new reference set.
     new_samples : SamplePool or sequence of Sample
-        Fresh arrivals, taken as a pool and checked (see :func:`ingest`);
-        only plain rows are stacked.  Their predictions are overwritten
+        Fresh arrivals, such as a stream's chunk, which is a pool.  They
+        are taken as a pool and checked (see :func:`ingest`); only a
+        sequence of rows is stacked.  Their predictions are overwritten
         by ``predictor`` on the way in; in-memory samples keep the
         predictions they arrived with.  Arrival indices must be new: one
         already in the chunk or in memory raises

@@ -8,10 +8,9 @@ classes mix.  Three builders cover the drift shapes of interest:
 ``incremental``     classes appear one after another in disjoint phases
 ``gradual_drift``   all classes always present, output scale creeps up
 
-Samples are drawn as :class:`~covmem.samples.SamplePool` columns, and
-evaluation sets are pools.  Streams yield one chunk per iteration as
-:class:`~covmem.samples.PoolRows` over its pool, whose ``Sample`` rows
-are built only if a consumer iterates or indexes the chunk.
+Samples are drawn as :class:`~covmem.samples.SamplePool` columns:
+streams yield one pool per iteration, and evaluation sets are pools.
+A pool's ``Sample`` rows are built only if a consumer iterates it.
 Arrival indices are a single global counter so strategies can
 reconstruct stream position.
 """
@@ -37,7 +36,7 @@ __all__ = [
 SCENARIO_KINDS = ("rare_patterns", "incremental", "gradual_drift")
 
 DEFAULT_FEATURE_DIM = 16
-DEFAULT_SEPARATION = 4.0
+_CLASS_SEPARATION = 4.0  # each class mean sits this far along its own axis
 DEFAULT_SAMPLES_PER_ITERATION = 10_000
 
 # Rare-pattern cadences: the sporadic classes recur every 5th and every
@@ -124,10 +123,10 @@ def _validate_schedule(schedule, iterations: int, n_classes: int) -> np.ndarray:
     return schedule
 
 
-def _default_means(n_classes: int, feature_dim: int, separation: float) -> np.ndarray:
+def _default_means(n_classes: int, feature_dim: int) -> np.ndarray:
     means = np.zeros((n_classes, feature_dim))
     for c in range(n_classes):
-        means[c, c % feature_dim] = separation
+        means[c, c % feature_dim] = _CLASS_SEPARATION
     return means
 
 
@@ -137,7 +136,6 @@ def _default_means(n_classes: int, feature_dim: int, separation: float) -> np.nd
 def rare_patterns(iterations: int = 20,
                   samples_per_iteration: int = DEFAULT_SAMPLES_PER_ITERATION,
                   feature_dim: int = DEFAULT_FEATURE_DIM,
-                  separation: float = DEFAULT_SEPARATION,
                   stationary: bool = False) -> ScenarioSpec:
     """Dominant class plus two sporadic ones on fixed cadences.
 
@@ -162,7 +160,7 @@ def rare_patterns(iterations: int = 20,
         kind="rare_patterns",
         iterations=iterations,
         samples_per_iteration=samples_per_iteration,
-        class_means=_default_means(3, feature_dim, separation),
+        class_means=_default_means(3, feature_dim),
         schedule=schedule,
         stall_class=0,
     )
@@ -170,8 +168,7 @@ def rare_patterns(iterations: int = 20,
 
 def incremental(iterations: int = 30,
                 samples_per_iteration: int = DEFAULT_SAMPLES_PER_ITERATION,
-                feature_dim: int = DEFAULT_FEATURE_DIM,
-                separation: float = DEFAULT_SEPARATION) -> ScenarioSpec:
+                feature_dim: int = DEFAULT_FEATURE_DIM) -> ScenarioSpec:
     """Three classes in disjoint, consecutive, equal-length phases."""
     if iterations % 3 != 0:
         raise BadSchedule(f"incremental needs iterations divisible by 3, got {iterations}")
@@ -183,15 +180,14 @@ def incremental(iterations: int = 30,
         kind="incremental",
         iterations=iterations,
         samples_per_iteration=samples_per_iteration,
-        class_means=_default_means(3, feature_dim, separation),
+        class_means=_default_means(3, feature_dim),
         schedule=schedule,
     )
 
 
 def gradual_drift(iterations: int = 30,
                   samples_per_iteration: int = DEFAULT_SAMPLES_PER_ITERATION,
-                  feature_dim: int = DEFAULT_FEATURE_DIM,
-                  separation: float = DEFAULT_SEPARATION) -> ScenarioSpec:
+                  feature_dim: int = DEFAULT_FEATURE_DIM) -> ScenarioSpec:
     """All classes always present; the output scale steps 1.0/1.5/2.0.
 
     A regression stream: raw outputs are class-dependent lognormals
@@ -207,7 +203,7 @@ def gradual_drift(iterations: int = 30,
         kind="gradual_drift",
         iterations=iterations,
         samples_per_iteration=samples_per_iteration,
-        class_means=_default_means(3, feature_dim, separation),
+        class_means=_default_means(3, feature_dim),
         schedule=schedule,
         regression=True,
         output_scales=scales,
@@ -276,12 +272,12 @@ def _draw_class_samples(spec: ScenarioSpec, labels: np.ndarray, iteration: int,
 def generate(spec: ScenarioSpec, seed: int = 0):
     """Yield one chunk of samples per iteration, deterministically.
 
-    Each chunk is a :class:`~covmem.samples.PoolRows`: a sequence of
-    :class:`~covmem.samples.Sample` rows over the pool it was drawn as,
-    so ``SamplePool.from_samples(chunk)`` costs nothing and the rows are
-    built only when the chunk is first iterated or indexed.  Predictions
-    are uniform placeholders: every row of a chunk holds the same
-    read-only view object (see :class:`~covmem.samples.PoolRows`).
+    Each chunk is the :class:`~covmem.samples.SamplePool` it was drawn
+    as, so ``SamplePool.from_samples(chunk)`` costs nothing, and the
+    chunk iterates as its :class:`~covmem.samples.Sample` rows, built
+    on the first iteration and kept.  Predictions are uniform
+    placeholders: one read-only row broadcast down the column, so every
+    row of a chunk holds the same view object.
     Class labels are drawn from the iteration's schedule row, so
     realized mixture fractions carry ordinary multinomial noise around
     the scheduled weights.
@@ -293,7 +289,7 @@ def generate(spec: ScenarioSpec, seed: int = 0):
                             p=spec.schedule[t])
         pool = _draw_class_samples(spec, labels, t, rng, arrival)
         arrival += len(pool)
-        yield pool.rows()
+        yield pool
 
 
 def eval_set(spec: ScenarioSpec, iteration: int, per_class: int, seed: int = 0) -> SamplePool:
@@ -320,12 +316,15 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     ``noise=True`` purely for evaluation; selection strategies never
     read the flag.
 
-    Each chunk is taken in as a pool, its columns are copied with the
-    replaced positions overwritten, and it comes out as
-    :class:`~covmem.samples.PoolRows` over the new pool, like the chunks
-    of :func:`generate`, so no row is built here either.  The random
-    draws per replaced position are the output bin, then the raw output
-    (regression only), then the features.
+    Each chunk is taken in as a pool and comes out as a
+    :class:`~covmem.samples.SamplePool`, like the chunks of
+    :func:`generate`, so no row is built here either: the pool itself
+    when no position is replaced, else a pool whose columns are copies
+    with the replaced positions overwritten.  The random draws per
+    replaced position are the output bin, then the raw output
+    (regression only), then the features.  A ``fraction`` outside
+    ``[0, 1]`` raises :class:`~covmem.errors.BadFraction` at the call,
+    before the stream is read.
     """
     if not 0.0 <= fraction <= 1.0:
         raise BadFraction(f"noise fraction must lie in [0, 1], got {fraction}")
@@ -344,7 +343,7 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
         n = len(pool)
         count = int(round(fraction * n))
         if count == 0:
-            return pool.rows()
+            return pool
         positions = rng.choice(n, size=count, replace=False)
         features = pool.features.astype(float)
         output_bin = pool.output_bin.copy()
@@ -368,7 +367,6 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
         return pool.with_columns(
             features=features, prediction=prediction, output_bin=output_bin,
             raw_output=raw_output, loss=loss, stalled=stalled, workload=workload, noise=noise,
-        ).rows()
+        )
 
-    for iteration_samples in stream:
-        yield _noisy(iteration_samples)
+    return map(_noisy, stream)

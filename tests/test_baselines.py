@@ -426,7 +426,7 @@ def kept_id_digest(kind, seed=0):
     chunks = list(generate(spec, seed))
     strategy = make_strategy(kind, base_predictor=CentroidPredictor(3), committee_size=3)
     memory = ReplayMemory(capacity=cfg.capacity)
-    predictor = LikelihoodPredictor(3).fit(SamplePool.from_samples(chunks[0][:200]))
+    predictor = LikelihoodPredictor(3).fit(chunks[0].take(slice(0, 200)))
     rng = np.random.default_rng([seed, 4])
     digest = hashlib.sha256()
     for chunk in chunks:
@@ -464,9 +464,9 @@ def outcome_bytes(kind, form, seed=3):
 
 @pytest.mark.parametrize("kind", ["memento", "random", "fifo"])
 def test_a_pool_its_rows_and_a_list_of_them_select_alike(kind):
-    """One hot path: a chunk's pool, the chunk itself and a plain list of its rows."""
-    by_pool = outcome_bytes(kind, lambda chunk: chunk.pool)
-    assert by_pool == outcome_bytes(kind, lambda chunk: chunk)
+    """One hot path: a chunk, which is a pool, and a tuple and a list of its rows."""
+    by_pool = outcome_bytes(kind, lambda chunk: chunk)
+    assert by_pool == outcome_bytes(kind, tuple)
     assert by_pool == outcome_bytes(kind, list)
     assert any(trace for _, trace, _, _ in by_pool) == (kind == "memento")
 

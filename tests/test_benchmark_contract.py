@@ -7,12 +7,14 @@ probe that checks every name it is handed and wraps nothing.
 """
 import importlib.util
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from covmem import ReplayMemory, Sample, StrategyConfig, selection
+from covmem import ReplayMemory, Sample, StrategyConfig, generate, rare_patterns, selection
 from covmem.density import DensityState
+from covmem.harness import scenario_stream
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -85,3 +87,14 @@ def test_select_calls_each_timed_layer_once_per_unit_of_work(monkeypatch):
     assert outcome.trace
     assert calls == {"remove_batch": len(outcome.trace), "distance_matrix": 2,
                      "cross_distance_matrix": 2}
+
+
+def test_chunks_iterate_as_the_rows_the_gate_reads():
+    """``perfbench/child.py`` checks kept ids against each chunk's ids read row by row."""
+    clean = generate(rare_patterns(iterations=2, samples_per_iteration=200), seed=7)
+    noisy, _ = scenario_stream("gradual_drift", 7, noise_fraction=0.05, iterations=3,
+                               samples_per_iteration=200)
+    for chunk in chain(clean, noisy):
+        # the gate's own expression
+        ids = np.fromiter((s.arrival_index for s in chunk), dtype=np.int64, count=len(chunk))
+        np.testing.assert_array_equal(ids, chunk.arrival_index)

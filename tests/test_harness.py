@@ -139,12 +139,6 @@ class TestRunConfig:
             RunConfig(**kwargs)
         assert isinstance(info.value.__cause__, cause)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_a_non_finite_separation_at_construction(self, value):
-        with pytest.raises(ConfigError, match="separation"):
-            RunConfig(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns",
-                      separation=value)
-
     @pytest.mark.parametrize("value", [0, -1])
     def test_rejects_a_committee_below_one_at_construction(self, value):
         with pytest.raises(ConfigError, match="committee_size"):
@@ -166,6 +160,15 @@ class TestRunConfig:
             RunConfig(strategy="memento", capacity=10, batch_size=5, input="pool.ndjson",
                       k_pred=3, k_out=0)
         assert isinstance(info.value.__cause__, NonPositiveCount)
+
+    def test_file_runs_reject_more_output_bins_than_prediction_bins(self):
+        """Predictors index their k_pred-bin predictions by output bin, so a
+        larger k_out would fail mid-run, differently in each predictor."""
+        source = dict(strategy="fifo", capacity=100, batch_size=10, input="pool.ndjson")
+        with pytest.raises(ConfigError, match="k_out 5 exceeds k_pred 3"):
+            RunConfig(**source, k_pred=3, k_out=5)
+        for k_out in (3, 2):
+            RunConfig(**source, k_pred=3, k_out=k_out)
 
 
 class TestParseConfig:

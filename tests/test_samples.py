@@ -1,6 +1,5 @@
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import fields
 from unittest import mock
 
@@ -13,13 +12,14 @@ from covmem import (
     Sample,
     SamplePool,
     StrategyConfig,
+    UniformPredictor,
     mixture,
     read_samples,
+    select,
     validate_distribution,
     write_samples,
 )
 from covmem import samples as samples_module
-from covmem.samples import PoolRows
 from covmem.errors import (
     BadFraction,
     BatchExceedsCapacity,
@@ -57,7 +57,7 @@ def read_back(tmp_path, *samples, k_pred=3, k_out=3):
 class TestValidation:
     def test_valid_sample_passes_through(self, tmp_path):
         s = make_sample()
-        (back,) = read_back(tmp_path, s).rows()
+        (back,) = tuple(read_back(tmp_path, s))
         np.testing.assert_array_equal(back.features, s.features)
         np.testing.assert_array_equal(back.prediction, s.prediction)
         assert back.output_bin == s.output_bin
@@ -183,7 +183,7 @@ class TestSampleRow:
         kw = [dict(raw_output=0.5, loss=0.25, stalled=True, workload=2, noise=True),
               dict(raw_output=1.5)]
         want = [make_sample(i, **k) for i, k in enumerate(kw)]
-        got = SamplePool.from_samples(want).rows()
+        got = tuple(SamplePool.from_samples(want))
         for a, b in zip(want, got):
             assert type(b) is Sample
             np.testing.assert_array_equal(b.features, a.features)
@@ -219,7 +219,7 @@ def sample_lists(draw):
 class TestSamplePool:
     @given(sample_lists())
     def test_rows_round_trip_every_field(self, samples):
-        back = SamplePool.from_samples(samples).rows()
+        back = tuple(SamplePool.from_samples(samples))
         assert len(back) == len(samples)
         for a, b in zip(samples, back):
             np.testing.assert_array_equal(b.features, a.features)
@@ -256,26 +256,29 @@ class TestSamplePool:
         joined = SamplePool.concat([SamplePool.from_samples(samples[:cut]),
                                     SamplePool.from_samples(samples[cut:])])
         assert joined.arrival_index.tolist() == ids
-        assert [s.arrival_index for s in joined.rows()] == ids
+        assert [s.arrival_index for s in joined] == ids
         reversed_pool = SamplePool.from_samples(samples[::-1]).sorted_by_arrival()
         assert reversed_pool.arrival_index.tolist() == ids
 
     @given(sample_lists())
-    def test_rows_carry_their_pool(self, samples):
-        """Rows are a sequence over their pool, built once on first use."""
+    def test_a_pool_builds_its_rows_once_on_first_iteration(self, samples):
+        """Only iterating a pool builds rows, and a second iteration yields the same ones."""
         pool = SamplePool.from_samples(samples)
         with mock.patch.object(samples_module, "_build_rows", side_effect=AssertionError):
-            rows = pool.rows()
-            assert isinstance(rows, PoolRows) and isinstance(rows, Sequence)
-            assert len(rows) == len(samples) and bool(rows) == bool(samples)
-            assert rows.pool is pool and SamplePool.from_samples(rows) is pool
-        first, again = list(rows), list(rows)
+            assert len(pool) == len(samples) and bool(pool) == bool(samples)
+            assert SamplePool.from_samples(pool) is pool
+            if samples:
+                k_pred = pool.prediction.shape[1]
+                cfg = StrategyConfig(capacity=max(1, len(samples) // 2), batch_size=1,
+                                     k_pred=k_pred, k_out=31)
+                memory = ReplayMemory(capacity=cfg.capacity)
+                select(memory, pool, cfg, UniformPredictor(k_pred), np.random.default_rng(0))
+                assert len(memory.pool) <= cfg.capacity
+        first, again = list(pool), list(pool)
         assert len(first) == len(samples)
         assert all(a is b for a, b in zip(first, again))
-        assert all(rows[i] is row for i, row in enumerate(first))
-        # slices and lists are plain rows again, stacked as any other
-        assert type(rows[:]) is tuple and SamplePool.from_samples(rows[:]) is not pool
-        restacked = SamplePool.from_samples(list(rows))
+        # a list of the rows is plain rows again, stacked as any other
+        restacked = SamplePool.from_samples(first)
         assert restacked is not pool
         for f in fields(SamplePool):
             np.testing.assert_array_equal(getattr(restacked, f.name), getattr(pool, f.name))
@@ -287,7 +290,7 @@ class TestSamplePool:
                                            for i in range(4)])
         pool = stacked.with_columns(
             prediction=np.broadcast_to(stacked.prediction[0], stacked.prediction.shape))
-        rows = pool.rows()
+        rows = tuple(pool)
         shared = rows[0].prediction
         assert all(r.prediction is shared for r in rows)
         assert not shared.flags.writeable
@@ -302,7 +305,7 @@ class TestSamplePool:
     @given(sample_lists())
     def test_distinct_prediction_rows_keep_one_view_each(self, samples):
         pool = SamplePool.from_samples(samples)
-        rows = pool.rows()
+        rows = tuple(pool)
         assert len({id(r.prediction) for r in rows}) == len(rows)
         for i, r in enumerate(rows):
             np.testing.assert_array_equal(r.prediction, pool.prediction[i])
@@ -310,7 +313,7 @@ class TestSamplePool:
     def test_read_rows_keep_one_view_each_even_when_equal(self, tmp_path):
         """The choice follows the column's strides, not its values."""
         pool = read_back(tmp_path, *(make_sample(i) for i in range(3)))
-        rows = pool.rows()
+        rows = tuple(pool)
         assert rows[0].prediction is not rows[1].prediction
         assert rows[1].prediction is not rows[2].prediction
         for i, r in enumerate(rows):
@@ -403,7 +406,7 @@ class TestRecords:
         write_samples(path, samples)
         back = read_samples(path, k_pred=4, k_out=4)
         assert isinstance(back, SamplePool) and len(back) == len(samples)
-        for a, b in zip(samples, back.rows()):
+        for a, b in zip(samples, back):
             np.testing.assert_allclose(a.features, b.features)
             np.testing.assert_allclose(a.prediction, b.prediction)
             assert (a.output_bin, a.arrival_index, a.stalled) == (b.output_bin, b.arrival_index, b.stalled)
@@ -420,7 +423,7 @@ class TestRecords:
             '{"features": [0.0], "output_bin": 0, "raw_output": 0.0, '
             '"prediction": [1.0], "stalled": 0, "mystery": 42}\n'
         )
-        (sample,) = read_samples(path).rows()
+        (sample,) = tuple(read_samples(path))
         assert sample.output_bin == 0
 
     def test_missing_field_reports_line(self, tmp_path):
@@ -457,7 +460,7 @@ class TestRecords:
             '\n{"features": [0.0], "output_bin": 0, "raw_output": 0.0, '
             '"prediction": [1.0], "stalled": 1}\n\n'
         )
-        (sample,) = read_samples(path).rows()
+        (sample,) = tuple(read_samples(path))
         assert sample.stalled is True
         assert sample.arrival_index == 0
 

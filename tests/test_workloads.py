@@ -142,11 +142,13 @@ class TestGenerate:
         spec = rare_patterns(iterations=1, samples_per_iteration=100)
         (a,) = list(generate(spec, seed=0))
         (b,) = list(generate(spec, seed=1))
-        assert not np.array_equal(a[0].features, b[0].features)
+        assert not np.array_equal(tuple(a)[0].features, tuple(b)[0].features)
 
     def test_arrival_indices_are_a_global_counter(self):
         spec = incremental(iterations=3, samples_per_iteration=50)
-        seen = [s.arrival_index for chunk in generate(spec, seed=0) for s in chunk]
+        chunks = list(generate(spec, seed=0))
+        assert all(type(chunk) is SamplePool for chunk in chunks)
+        seen = [s.arrival_index for chunk in chunks for s in chunk]
         assert seen == list(range(150))
 
     def test_placeholder_predictions_are_uniform(self):
@@ -158,11 +160,12 @@ class TestGenerate:
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_placeholder_predictions_are_one_shared_read_only_view(self, kind):
         spec = build_scenario(kind, iterations=3, samples_per_iteration=30)
-        for rows in (next(generate(spec, seed=0)), eval_set(spec, 1, 10, seed=0).rows()):
+        for pool in (next(generate(spec, seed=0)), eval_set(spec, 1, 10, seed=0)):
+            rows = tuple(pool)
             shared = rows[0].prediction
             assert all(s.prediction is shared for s in rows)
             assert not shared.flags.writeable
-            np.testing.assert_array_equal(shared, rows.pool.prediction[0])
+            np.testing.assert_array_equal(shared, pool.prediction[0])
 
     def test_rows_of_a_generated_chunk_stay_small(self):
         """Traced bytes per row of a 10k-row chunk: 407 with one prediction
@@ -170,10 +173,10 @@ class TestGenerate:
         Rows are built on first use, so ``tuple`` builds them inside the
         traced window; its copy adds 8 bytes a row."""
         spec = rare_patterns(iterations=1, samples_per_iteration=10_000)
-        pool = next(generate(spec, seed=0)).pool
+        pool = next(generate(spec, seed=0))
         tracemalloc.start()
         try:
-            rows = tuple(pool.rows())
+            rows = tuple(pool)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -208,6 +211,7 @@ class TestInjectNoise:
         spec = rare_patterns(iterations=4, samples_per_iteration=1000)
         noisy = inject_noise(generate(spec, seed=0), 0.05, spec, seed=0)
         for chunk in noisy:
+            assert type(chunk) is SamplePool
             assert sum(s.noise for s in chunk) == 50
             assert len(chunk) == 1000
 
@@ -275,6 +279,12 @@ class TestInjectNoise:
         spec = rare_patterns(iterations=1, samples_per_iteration=10)
         with pytest.raises(BadFraction):
             list(inject_noise(generate(spec, seed=0), 1.5, spec, seed=0))
+
+    @pytest.mark.parametrize("fraction", [1.5, -0.1, float("nan")])
+    def test_bad_fraction_fails_at_the_call(self, fraction):
+        spec = rare_patterns(iterations=1, samples_per_iteration=10)
+        with pytest.raises(BadFraction):
+            inject_noise(generate(spec, seed=0), fraction, spec, seed=0)
 
     def test_deterministic(self):
         spec = rare_patterns(iterations=2, samples_per_iteration=300)
@@ -425,8 +435,8 @@ def generator_outputs(kind, seed):
     return {
         "stream": list(generate(spec, seed)),
         "noise0.1": list(inject_noise(generate(spec, seed), 0.1, spec, seed)),
-        # the pools' rows, hashed as the chunks are: carried pool, then restacked rows
-        "eval": [eval_set(spec, 1, 25, seed).rows(), eval_set(spec, 2, 25, seed).rows()],
+        # eval pools, hashed as the chunks are: the pool, then its restacked rows
+        "eval": [eval_set(spec, 1, 25, seed), eval_set(spec, 2, 25, seed)],
     }
 
 
@@ -457,11 +467,12 @@ def test_generator_chunks_carry_the_pool_their_rows_stack_into(
     chunks = [
         *generate(spec, seed),
         *inject_noise(generate(spec, seed), noise, spec, seed),
-        eval_set(spec, 2, per_class, seed).rows(),
+        eval_set(spec, 2, per_class, seed),
     ]
     for chunk in chunks:
+        assert isinstance(chunk, SamplePool)
         carried = SamplePool.from_samples(chunk)
-        assert carried is chunk.pool
+        assert carried is chunk
         stacked = SamplePool.from_samples(list(chunk))
         for f in fields(SamplePool):
             got, want = getattr(carried, f.name), getattr(stacked, f.name)
