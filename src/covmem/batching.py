@@ -64,8 +64,17 @@ def batch_samples(pool: SamplePool, batch_size: int) -> BatchTable:
     modes = predictions.argmax(axis=1)
     mode_probs = predictions[np.arange(n), modes]
 
-    # last lexsort key is the primary one
-    order = np.lexsort((arrival, mode_probs, modes, out_bins))
+    # np.lexsort((arrival, mode_probs, modes, out_bins)) as three stable
+    # argsorts, least significant key first; arrival ids are unique, so
+    # the order is fully determined, and a pool already in arrival order
+    # costs the first sort one pass
+    order = np.argsort(arrival, kind="stable")
+    order = order[np.argsort(mode_probs[order], kind="stable")]
+    # (out bin, mode) as one integer, which numpy radix-sorts at 16 bits
+    key = out_bins * predictions.shape[1] + modes
+    if 0 <= key.min() and key.max() < 2**15:
+        key = key.astype(np.int16)
+    order = order[np.argsort(key[order], kind="stable")]
     out_sorted = out_bins[order]
 
     # chunk starts: every batch_size positions within each output run

@@ -31,13 +31,23 @@ and no normalized copy of it.  This is exact,
 not an approximation; the tests hold it to the from-scratch
 recomputation at 1e-9.
 
+Which batch goes is drawn from the softmax of the per-batch minimum
+density: :meth:`DensityState.draw` gathers that minimum, the softmax
+and its cumulative sums into rows the state allocates once.  The
+softmax and the inverse-CDF draw exist once, as ``_softmax`` and
+``_inverse_cdf`` here, which write into the arrays they are given;
+:func:`~covmem.selection.discard_probabilities` and
+:func:`~covmem.selection.draw_index` call the same two with fresh
+arrays, so a draw gives the same index, probability and rng state
+either way.
+
 The table is built with :func:`kde`'s operations in :func:`kde`'s order
 and every row mean runs over a C-contiguous row in batch order, so the
 densities equal :func:`kde` of the full ``n x n`` matrix bit for bit.
 """
 import numpy as np
 
-from .errors import EmptyInput, LastBatch, LengthMismatch
+from .errors import EmptyInput, LastBatch, LengthMismatch, NegativeTemperature
 from .samples import _check_bandwidth
 
 __all__ = ["kde", "DensityState"]
@@ -83,6 +93,40 @@ def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
     return _NORM * _kernel_table(distances, bandwidth).mean(axis=1)
 
 
+def _softmax(values: np.ndarray, temperature: float, out: np.ndarray) -> np.ndarray:
+    """Softmax of ``values`` at ``temperature``, written into ``out`` and returned.
+
+    Subtracts the maximum, divides by ``T``, exponentiates and
+    normalizes.  ``T = 0`` is the greedy limit: a one-hot on the first
+    maximum.  ``values`` must be nonempty.
+    """
+    if not temperature >= 0:
+        raise NegativeTemperature(f"temperature must be nonnegative, got {temperature}")
+    if temperature == 0.0:
+        first = values.argmax()
+        out.fill(0.0)
+        out[first] = 1.0
+        return out
+    np.subtract(values, values.max(), out=out)
+    out /= temperature
+    np.exp(out, out=out)
+    out /= out.sum()
+    return out
+
+
+def _inverse_cdf(probabilities: np.ndarray, rng: np.random.Generator,
+                 edges: np.ndarray) -> int:
+    """Index drawn from ``probabilities`` by one ``rng.random()``.
+
+    The cumulative sums go into ``edges``; the draw is the first edge
+    above the uniform, clipped to the last index because roundoff can
+    leave the last edge a hair under 1.0.
+    """
+    np.add.accumulate(probabilities, out=edges)  # np.cumsum, with less overhead
+    idx = int(edges.searchsorted(rng.random(), side="right"))
+    return min(idx, probabilities.size - 1)
+
+
 def _table_and_types(distances, types) -> tuple[np.ndarray, np.ndarray]:
     distances = np.asarray(distances, dtype=float)
     u = distances.shape[0]
@@ -101,9 +145,11 @@ class DensityState:
 
     Holds one kernel table ``E`` per space over its distinct rows, and
     the types of the still-active batches.  A removal scales the removed
-    batch's row of ``E`` by ``1 / sqrt(2 pi)``, updates one density per
-    type with it and shifts the active batches' tail one place; the
-    tables are never copied.
+    batch's row of ``E`` by ``1 / sqrt(2 pi)`` into a buffer the state
+    allocates once, updates one density per type with it and shifts the
+    active batches' tail one place; the tables are never copied.
+    :meth:`draw` picks the batch to remove in three more rows allocated
+    once, so a discard step allocates no array.
 
     Parameters
     ----------
@@ -142,6 +188,11 @@ class DensityState:
         self._rho = np.concatenate([self._type_densities(self._kernel_pred, types_pred),
                                     self._type_densities(self._kernel_out, types_out)])
         self._rho_pred, self._rho_out = self._rho[:u_pred], self._rho[u_pred:]
+        # a removal's scaled kernel rows, laid out as ``_rho``; a draw's
+        # rho_min, softmax and cumulative sums, one row each
+        self._scaled = np.empty_like(self._rho)
+        self._scaled_pred, self._scaled_out = self._scaled[:u_pred], self._scaled[u_pred:]
+        self._draw_min, self._draw_probs, self._draw_edges = np.empty((3, n))
 
     @staticmethod
     def _type_densities(kernel: np.ndarray, types: np.ndarray) -> np.ndarray:
@@ -184,6 +235,28 @@ class DensityState:
     def rho_min(self) -> np.ndarray:
         return np.minimum(self.rho_pred, self.rho_out)
 
+    def draw(self, temperature: float, rng: np.random.Generator) -> tuple[int, float]:
+        """Draw the active batch to discard next; the state is not changed.
+
+        The softmax of :attr:`rho_min` at ``temperature``, sampled by
+        one ``rng.random()``: returns the drawn position ``j`` in the
+        active list and the probability it held.  This is
+        :func:`~covmem.selection.draw_index` of
+        :func:`~covmem.selection.discard_probabilities` bit for bit,
+        rng state included, computed in the state's own rows with no
+        new array data.  ``T = 0`` draws the first densest batch at
+        probability 1.0, still consuming one ``rng.random()``.
+        """
+        n = self._count
+        rho, probs, edges = self._draw_min[:n], self._draw_probs[:n], self._draw_edges[:n]
+        # the types index the density vectors, so no bounds check is needed
+        self._rho_pred.take(self._rows[1, :n], out=rho, mode="clip")
+        self._rho_out.take(self._rows[2, :n], out=probs, mode="clip")
+        np.minimum(rho, probs, out=rho)
+        _softmax(rho, temperature, probs)
+        j = _inverse_cdf(probs, rng, edges)
+        return j, float(probs[j])
+
     def remove_batch(self, j: int) -> None:
         """Drop active batch ``j`` and renormalize both density vectors.
 
@@ -199,9 +272,10 @@ class DensityState:
         rows = self._rows
         # (n rho - K[type of j]) / (n - 1) with K = E / sqrt(2 pi), in place;
         # the properties hand out copies
+        np.multiply(self._kernel_pred[rows[1, j]], _NORM, out=self._scaled_pred)
+        np.multiply(self._kernel_out[rows[2, j]], _NORM, out=self._scaled_out)
         self._rho *= n
-        self._rho_pred -= _NORM * self._kernel_pred[rows[1, j]]
-        self._rho_out -= _NORM * self._kernel_out[rows[2, j]]
+        self._rho -= self._scaled
         self._rho /= n - 1
         rows[:, j:n - 1] = rows[:, j + 1:n]
         self._count = n - 1
@@ -216,8 +290,19 @@ class DensityState:
         trigger's self-densities from them.
         """
         n = self._count
-        types_pred, types_out = self._rows[1, :n], self._rows[2, :n]
-        return (
-            self._type_densities(self._kernel_pred, types_pred)[types_pred],
-            self._type_densities(self._kernel_out, types_out)[types_out],
-        )
+        return (self._batch_densities(self._kernel_pred, self._rows[1, :n]),
+                self._batch_densities(self._kernel_out, self._rows[2, :n]))
+
+    @classmethod
+    def _batch_densities(cls, kernel: np.ndarray, types: np.ndarray) -> np.ndarray:
+        """Density of every batch of ``types`` over the batches of ``types``.
+
+        With fewer batches than table rows, as for distinct prediction
+        rows after discards, the batches' rows are gathered first and
+        ``m x m`` entries averaged; otherwise each type's density is
+        averaged over ``u x m`` and gathered.  A batch's row mean is
+        the same sum in the same order either way.
+        """
+        if types.size < kernel.shape[0]:
+            return _NORM * np.take(kernel[types], types, axis=1).mean(axis=1)
+        return cls._type_densities(kernel, types)[types]

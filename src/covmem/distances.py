@@ -33,6 +33,12 @@ over contiguous per-bin planes: the mixture add, the logarithm, the
 ``m log m`` product and the entropy sum.  The sum is then ``k - 1``
 in-place adds of whole planes instead of one short length-``k``
 reduction per pair, as a row-major ``(rows, cols, k)`` block needs.
+The mixture is the row planes copied across the columns, then the
+column planes added in place: that add runs one contiguous loop of
+``cols`` elements per (bin, row) pair on both operands, and costs about
+two thirds of ``np.add`` with the row operand broadcast (43 against
+64 µs for a 21 × 6 × 509 block on one CPU).  IEEE addition commutes, so
+the mixture's bits are the same either way.
 Each call checks its inputs once to skip work no pair needs:
 
 - when every entry is positive, every mixture is too, so the logarithm
@@ -270,7 +276,9 @@ def _jsd_kernel(rows_a, rows_b, ent_a, ent_b):
         a, b = planes_a[:, rows, None], planes_b[:, None, cols]
         shape = (a.shape[0], a.shape[1], b.shape[2])
         mix, logs = mix.reshape(shape), logs.reshape(shape)
-        np.add(a, b, out=mix)
+        # rows copied, columns added in place: np.add(a, b) bit for bit
+        np.copyto(mix, a)
+        mix += b
         if not halved:
             mix *= 0.5
         if positive:

@@ -70,10 +70,6 @@ class EmptyCurrentSet(CovmemError, ValueError):
     """The current batch set of a coverage comparison is empty."""
 
 
-class CapacityTooSmallForOneBatch(CovmemError, RuntimeError):
-    """No whole-batch discard sequence can reach the capacity target."""
-
-
 class MissingScores(CovmemError, ValueError):
     """A score-based strategy has samples without the score it ranks by."""
 

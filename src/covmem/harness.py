@@ -54,7 +54,8 @@ class RunConfig:
     Exactly one of ``scenario`` and ``input`` must be set.  File-based
     runs read sample records, chunk them into iterations of
     ``samples_per_iteration``, and need ``k_pred``/``k_out`` spelled
-    out; synthetic runs derive both from the scenario.
+    out; synthetic runs derive both from the scenario and refuse either
+    one set.
     """
 
     strategy: str
@@ -107,6 +108,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.input is not None and (self.k_pred is None or self.k_out is None):
             raise ConfigError("file-based runs must set k_pred and k_out")
+        if self.scenario is not None and (self.k_pred is not None or self.k_out is not None):
+            raise ConfigError(f"scenario {self.scenario!r} fixes k_pred and k_out; "
+                              "set them only for file-based runs")
         if self.k_pred is not None and self.k_out is not None and self.k_out > self.k_pred:
             # predictors index their k_pred-bin predictions by output bin
             raise ConfigError(f"k_out {self.k_out} exceeds k_pred {self.k_pred}")

@@ -14,15 +14,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .batching import batch_samples, bbdr
-from .density import DensityState, kde
+from .density import DensityState, _inverse_cdf, _softmax, kde
 from .distances import cross_distance_matrix, distance_matrix, distinct_rows
 from .errors import (
     BinOutOfRange,
-    CapacityTooSmallForOneBatch,
     EmptyCurrentSet,
     EmptyInput,
     LengthMismatch,
-    NegativeTemperature,
     RepeatedArrival,
 )
 from .predictors import with_losses
@@ -69,29 +67,20 @@ def discard_probabilities(densities: np.ndarray, temperature: float) -> np.ndarr
     ``p_i = exp(rho_i / T) / sum_j exp(rho_j / T)``, computed with the
     usual max subtraction.  ``T = 0`` is the greedy limit: a point mass
     on the densest batch, ties resolving to the lowest index.  Large
-    ``T`` approaches the uniform distribution.
+    ``T`` approaches the uniform distribution.  A negative temperature
+    raises :class:`~covmem.errors.NegativeTemperature`, and a NaN or
+    infinite density :class:`~covmem.errors.NonFiniteValue`.
     """
-    if not temperature >= 0:
-        raise NegativeTemperature(f"temperature must be nonnegative, got {temperature}")
     densities = np.asarray(densities, dtype=float)
     if densities.size == 0:
         raise EmptyInput("no densities to turn into discard probabilities")
-    if temperature == 0.0:
-        out = np.zeros(densities.size)
-        out[densities.argmax()] = 1.0
-        return out
-    out = densities - densities.max()
-    out /= temperature
-    np.exp(out, out=out)
-    out /= out.sum()
-    return out
+    require_finite(densities, "densities")
+    return _softmax(densities, temperature, np.empty(densities.size))
 
 
 def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from a categorical distribution."""
-    edges = np.cumsum(probabilities)
-    idx = int(np.searchsorted(edges, rng.random(), side="right"))
-    return min(idx, probabilities.size - 1)
+    return _inverse_cdf(probabilities, rng, np.empty(probabilities.size))
 
 
 # the comparison space of batch summaries each prediction metric names
@@ -116,7 +105,9 @@ def _density_state(batches: BatchTable, bandwidth: float, spaces: tuple[str, str
     for space in spaces:
         first, types = distinct_rows(batches, space)
         distinct.append((space, first, types))
-        tables.append(distance_matrix(batches.take(first), space))
+        # all rows distinct: the table itself, with no copy of its columns
+        tables.append(distance_matrix(batches if first.size == len(batches)
+                                      else batches.take(first), space))
     state = DensityState(*tables, bandwidth, *(types for *_, types in distinct))
     return state, distinct
 
@@ -298,25 +289,15 @@ def select(
     batches = batch_samples(pool, cfg.batch_size)
     total = len(pool)
     sizes = batches.size
-    if total > cfg.capacity and sizes.min() > cfg.capacity:
-        raise CapacityTooSmallForOneBatch(
-            f"capacity {cfg.capacity} is below every batch size "
-            f"(smallest is {sizes.min()}); whole-batch discards cannot reach it"
-        )
-
     state, distinct = _density_state(batches, cfg.bandwidth, spaces)
 
+    # StrategyConfig keeps batch_size <= capacity, so the batches left
+    # while over capacity always number two or more
     trace: list[DiscardEvent] = []
     while total > cfg.capacity:
-        if state.count == 1:
-            raise CapacityTooSmallForOneBatch(
-                f"one batch of {sizes[state.active_indices[0]]} samples left, "
-                f"capacity {cfg.capacity}"
-            )
-        probs = discard_probabilities(state.rho_min, cfg.temperature)
-        j = draw_index(probs, rng)
+        j, probability = state.draw(cfg.temperature, rng)
         batch_index = int(state.active_indices[j])
-        trace.append(DiscardEvent(len(trace), batch_index, float(probs[j])))
+        trace.append(DiscardEvent(len(trace), batch_index, probability))
         total -= sizes[batch_index]
         state.remove_batch(j)
 

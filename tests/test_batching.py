@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covmem import (
     BatchTable,
@@ -122,6 +123,31 @@ class TestBatchSamples:
             members_by_id = {s.arrival_index: s for s in pool}
             bins = {members_by_id[i].output_bin for i in ids.tolist()}
             assert len(bins) == 1
+
+    @given(st.integers(1, 120), st.sampled_from([2, 3, 21]), st.sampled_from([0, 1, 2]),
+           st.integers(1, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_order_is_the_lexsort_of_its_keys(self, n, k, bin_scale, batch_size, seed):
+        """Output bin, mode, mode probability, then arrival, as ``np.lexsort`` orders them.
+
+        Predictions come from a few rows and their permutations, so mode
+        probabilities repeat across modes and bins; arrivals come
+        shuffled.  Bin offsets of ``2**15 // k`` and ``2**15`` put the
+        (bin, mode) key at or past ``2**15``, beyond the 16-bit sort.
+        """
+        rng = np.random.default_rng(seed)
+        palette = rng.dirichlet(np.ones(k), size=2)
+        rows = palette[rng.integers(2, size=n)]
+        predictions = np.take_along_axis(rows, rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1),
+                                         axis=1)
+        offset = (0, 2**15 // k, 2**15)[bin_scale]
+        bins = offset + rng.integers(3, size=n)
+        arrival = rng.permutation(n) * 3
+        pool = SamplePool.from_samples([sample(int(a), int(b), p)
+                                        for a, b, p in zip(arrival, bins, predictions)])
+        modes = predictions.argmax(axis=1)
+        order = np.lexsort((arrival, predictions[np.arange(n), modes], modes, bins))
+        np.testing.assert_array_equal(batch_samples(pool, batch_size).member_ids, arrival[order])
 
     def test_empty_pool(self):
         with pytest.raises(EmptyInput):

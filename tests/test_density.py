@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from covmem import BatchTable, DensityState, distance_matrix, kde
 from covmem.density import _kernel_table
 from covmem.distances import distinct_rows
-from covmem.errors import EmptyInput, LastBatch, NonPositiveBandwidth
+from covmem.errors import EmptyInput, LastBatch, NegativeTemperature, NonPositiveBandwidth
+from covmem.selection import discard_probabilities, draw_index
 
 PEAK = 0.3989422804014327            # 1 / sqrt(2 pi)
 PAIR_AT_ONE_SIGMA = 0.32045650246028806  # two points, d = h: (PEAK / 2) (1 + e^-0.5)
@@ -198,3 +199,54 @@ class TestTablesOverDistinctRows:
             DensityState(np.zeros((2, 2)), np.zeros((1, 1)), 0.1, [0, 2], [0, 0])
         with pytest.raises(ValueError):
             DensityState(np.zeros((2, 2)), np.zeros((1, 1)), 0.1, [0, 1, 1], [0, 0])
+
+
+def typed_state(rng, n):
+    """A DensityState over distinct-row tables of repeated prediction rows."""
+    batches = BatchTable(member_ids=np.arange(n), size=np.ones(n, dtype=np.int64),
+                         pred_dist=prediction_rows(rng, n, 3, "repeated"),
+                         out_bin=rng.integers(3, size=n), mean_features=np.zeros((n, 1)))
+    tables, types = [], []
+    for space in ("pred", "out"):
+        first, space_types = distinct_rows(batches, space)
+        tables.append(distance_matrix(batches.take(first), space))
+        types.append(space_types)
+    return DensityState(*tables, 0.1, *types)
+
+
+class TestDraw:
+    """``DensityState.draw`` is ``draw_index(discard_probabilities(rho_min, T))``, bit for bit."""
+
+    @pytest.mark.parametrize("temperature", [0.0, 1e-3, 1e-2, 1.0, 1e9])
+    @pytest.mark.parametrize("make", [random_state, typed_state], ids=["identity", "typed"])
+    def test_matches_the_public_softmax_and_draw(self, make, temperature):
+        for seed in range(4):
+            state, twin = (make(np.random.default_rng(seed), 40) for _ in range(2))
+            rng, ref_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+            while state.count > 1:
+                probs = discard_probabilities(state.rho_min, temperature)
+                want = draw_index(probs, ref_rng)
+                # the properties hand out fresh arrays: scribbling moves no draw
+                for handed_out in (state.rho_min, state.rho_pred, state.rho_out):
+                    handed_out.fill(np.nan)
+                j, probability = state.draw(temperature, rng)
+                assert j == want
+                assert np.float64(probability).tobytes() == probs[j].tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                state.remove_batch(j)
+                twin.remove_batch(j)
+                assert state.rho_pred.tobytes() == twin.rho_pred.tobytes()
+                assert state.rho_out.tobytes() == twin.rho_out.tobytes()
+
+    def test_zero_temperature_takes_the_first_densest_and_one_uniform(self):
+        d = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        state = DensityState(d, np.zeros((3, 3)), 0.1)
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        assert state.draw(0.0, rng) == (0, 1.0)  # batches 0 and 2 tie
+        ref_rng.random()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_negative_temperature(self):
+        state = random_state(np.random.default_rng(0), 3)
+        with pytest.raises(NegativeTemperature):
+            state.draw(-1.0, np.random.default_rng(0))

@@ -161,6 +161,13 @@ class TestRunConfig:
                       k_pred=3, k_out=0)
         assert isinstance(info.value.__cause__, NonPositiveCount)
 
+    @pytest.mark.parametrize("bins", [dict(k_pred=7, k_out=2), dict(k_pred=3), dict(k_out=3)])
+    def test_scenario_runs_refuse_bin_counts(self, bins):
+        """A scenario fixes its bin counts, so a value set beside it would be ignored."""
+        with pytest.raises(ConfigError, match="fixes k_pred and k_out"):
+            RunConfig(strategy="fifo", capacity=100, batch_size=10, scenario="rare_patterns",
+                      iterations=2, samples_per_iteration=200, eval_per_class=10, **bins)
+
     def test_file_runs_reject_more_output_bins_than_prediction_bins(self):
         """Predictors index their k_pred-bin predictions by output bin, so a
         larger k_out would fail mid-run, differently in each predictor."""
@@ -433,6 +440,11 @@ class TestSweep:
     def test_rejects_empty_values(self):
         with pytest.raises(ConfigError):
             sweep(small_config(), "capacity", [])
+
+    def test_refuses_bin_counts_on_a_scenario(self):
+        """A scenario fixes k_pred, so sweeping it would run one variant repeatedly."""
+        with pytest.raises(ConfigError, match="fixes k_pred"):
+            sweep(small_config(), "k_pred", ["3", "7"])
 
     def test_accepts_typed_values(self):
         results = sweep(small_config(), "temperature", [0.0, 0.01])

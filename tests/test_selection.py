@@ -72,6 +72,13 @@ class TestDiscardProbabilities:
         with pytest.raises(EmptyInput):
             discard_probabilities(np.array([]), 0.1)
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.01])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_is_rejected(self, bad, temperature):
+        """A NaN would give all-NaN mass, which draw_index reads as index 0."""
+        with pytest.raises(NonFiniteValue, match="densities"):
+            discard_probabilities(np.array([0.1, bad, 0.2]), temperature)
+
 
 class TestDrawIndex:
     def test_point_mass_is_deterministic(self):
