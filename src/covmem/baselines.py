@@ -27,6 +27,7 @@ from . import selection
 # perfbench/spans.py wraps every module's bbdr and batch_samples for its
 # layer split.
 from .batching import batch_samples, bbdr  # noqa: F401
+from .density import _inverse_cdf
 from .distances import _entropy_rows
 from .errors import (
     EmptyCommittee,
@@ -173,10 +174,15 @@ class PriorityStrategy(SelectionStrategy):
 
 
 def _discard_index(signed: np.ndarray, temperature: float, rng) -> int:
-    """Softmax draw over signed scores; T=0 is argmax with low-index ties and no draw."""
+    """Softmax draw over signed scores; T=0 is argmax with low-index ties and no draw.
+
+    The softmax is a distribution by construction, so it is drawn from
+    unchecked, as :meth:`~covmem.density.DensityState.draw` does.
+    """
     if temperature == 0.0:
         return int(signed.argmax())
-    return selection.draw_index(selection.discard_probabilities(signed, temperature), rng)
+    probabilities = selection.discard_probabilities(signed, temperature)
+    return _inverse_cdf(probabilities, rng, np.empty(probabilities.size))
 
 
 class LarsStrategy(SelectionStrategy):

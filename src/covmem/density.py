@@ -13,8 +13,11 @@ rows, and one-hot predictions give few distinct prediction rows.
 :class:`DensityState` therefore works on a kernel table over the
 *distinct* rows of each space, ``E = exp(-0.5 (D / h)^2)`` for the
 ``u x u`` distance table ``D``, plus each batch's row of it, its type.
-Batches of one type share every distance, so they share one density,
-and the state keeps one density per type:
+:func:`kernel_table` builds ``E``, in ``D``'s own buffer when the
+caller has no further use for the distances, so a space needs one
+``u x u`` array, not two; the state takes ``E`` and owns it.  Batches
+of one type share every distance, so they share one density, and the
+state keeps one density per type:
 
     rho(t) = 1 / (sqrt(2 pi) n) * sum_j E[t, type(j)]
 
@@ -26,10 +29,10 @@ are discarded, the exact identity
 
 updates every type at once, with no exponential: ``k`` is the
 normalized kernel value against the removed batch ``j``, one row of
-``E`` scaled when the removal needs it, so the state keeps ``E`` alone
-and no normalized copy of it.  This is exact,
-not an approximation; the tests hold it to the from-scratch
-recomputation at 1e-9.
+``E`` scaled when the removal needs it, so the state keeps ``E`` alone:
+no distance table and no normalized copy of it.  This is exact, not an
+approximation; the tests hold it to the from-scratch recomputation at
+1e-9.
 
 Which batch goes is drawn from the softmax of the per-batch minimum
 density: :meth:`DensityState.draw` gathers that minimum, the softmax
@@ -50,23 +53,42 @@ import numpy as np
 from .errors import EmptyInput, LastBatch, LengthMismatch, NegativeTemperature
 from .samples import _check_bandwidth
 
-__all__ = ["kde", "DensityState"]
+__all__ = ["kde", "kernel_table", "DensityState"]
 
 _NORM = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _kernel_table(distances: np.ndarray, bandwidth: float) -> np.ndarray:
+def kernel_table(distances: np.ndarray, bandwidth: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized Gaussian kernel of every entry, ``exp(-0.5 (d / h)^2)``.
 
     Computed in one array as ``exp(-0.5 * (s * s))`` for ``s = d / h``.
     That equals ``exp((-0.5 * s) * s)`` bit for bit: scaling by a power
     of two commutes with rounding wherever the product is a normal
     float, and where it is not, both exponentials are exactly 1.
+
+    Parameters
+    ----------
+    distances : ndarray
+        Distances of any shape.
+    bandwidth : float
+        Kernel width ``h``; must be positive and finite.
+    out : ndarray, optional
+        Float array of ``distances``' shape to build the table in and
+        return.  ``out=distances`` overwrites the distances with their
+        kernel values, the same bits as a fresh table, with no second
+        array of their size.
     """
-    table = np.divide(distances, bandwidth)
+    _check_bandwidth(bandwidth)
+    table = np.divide(distances, bandwidth, out=out)
     table *= table
     table *= -0.5
     return np.exp(table, out=table)
+
+
+def _mean_kernel(kernel: np.ndarray) -> np.ndarray:
+    """Density of each row point from its kernel values over the columns."""
+    return _NORM * kernel.mean(axis=1)
 
 
 def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -90,7 +112,7 @@ def kde(distances: np.ndarray, bandwidth: float) -> np.ndarray:
     distances = np.asarray(distances, dtype=float)
     if distances.ndim != 2 or distances.size == 0:
         raise EmptyInput(f"expected a nonempty 2-D distance matrix, got shape {distances.shape}")
-    return _NORM * _kernel_table(distances, bandwidth).mean(axis=1)
+    return _mean_kernel(kernel_table(distances, bandwidth))
 
 
 def _softmax(values: np.ndarray, temperature: float, out: np.ndarray) -> np.ndarray:
@@ -127,39 +149,40 @@ def _inverse_cdf(probabilities: np.ndarray, rng: np.random.Generator,
     return min(idx, probabilities.size - 1)
 
 
-def _table_and_types(distances, types) -> tuple[np.ndarray, np.ndarray]:
-    distances = np.asarray(distances, dtype=float)
-    u = distances.shape[0]
-    if distances.ndim != 2 or distances.shape != (u, u) or u == 0:
-        raise EmptyInput(f"expected a nonempty square distance table, got {distances.shape}")
+def _table_and_types(kernel, types) -> tuple[np.ndarray, np.ndarray]:
+    kernel = np.asarray(kernel, dtype=float)
+    u = kernel.shape[0]
+    if kernel.ndim != 2 or kernel.shape != (u, u) or u == 0:
+        raise EmptyInput(f"expected a nonempty square kernel table, got {kernel.shape}")
     if types is None:
-        return distances, np.arange(u)
+        return kernel, np.arange(u)
     types = np.asarray(types, dtype=np.intp)
     if types.ndim != 1 or types.size == 0 or types.min() < 0 or types.max() >= u:
         raise ValueError(f"types must be a nonempty vector of rows of the {u}-row table")
-    return distances, types
+    return kernel, types
 
 
 class DensityState:
     """Per-space densities of a batch set under whole-batch removal.
 
     Holds one kernel table ``E`` per space over its distinct rows, and
-    the types of the still-active batches.  A removal scales the removed
-    batch's row of ``E`` by ``1 / sqrt(2 pi)`` into a buffer the state
-    allocates once, updates one density per type with it and shifts the
-    active batches' tail one place; the tables are never copied.
-    :meth:`draw` picks the batch to remove in three more rows allocated
-    once, so a discard step allocates no array.
+    the types of the still-active batches.  The state owns the tables it
+    is given: it keeps them as they are, neither copies nor writes into
+    them, and the caller should not write into them either.  A removal
+    scales the removed batch's row of ``E`` by ``1 / sqrt(2 pi)`` into a
+    buffer the state allocates once, updates one density per type with
+    it and shifts the active batches' tail one place.  :meth:`draw`
+    picks the batch to remove in three more rows allocated once, so a
+    discard step allocates no array.
 
     Parameters
     ----------
-    distances_pred, distances_out : ndarray
-        Square distance tables, one per space.  Both must be exactly
-        symmetric, as every matrix
+    kernel_pred, kernel_out : ndarray
+        Square kernel tables, one per space, as :func:`kernel_table`
+        builds them from distance tables at one shared bandwidth.  Both
+        must be exactly symmetric, as the kernel of every matrix
         :func:`~covmem.distances.distance_matrix` builds is: a removal
         reads the removed batch's row where the update needs its column.
-    bandwidth : float
-        Shared kernel width.
     types_pred, types_out : ndarray or None
         Each batch's row of the table, one entry per batch and the same
         length in both spaces (see
@@ -167,21 +190,20 @@ class DensityState:
         identity: the table is the full matrix over the batches.
     """
 
-    def __init__(self, distances_pred: np.ndarray, distances_out: np.ndarray, bandwidth: float,
+    def __init__(self, kernel_pred: np.ndarray, kernel_out: np.ndarray,
                  types_pred=None, types_out=None):
-        _check_bandwidth(bandwidth)
-        distances_pred, types_pred = _table_and_types(distances_pred, types_pred)
-        distances_out, types_out = _table_and_types(distances_out, types_out)
+        self._kernel_pred, types_pred = _table_and_types(kernel_pred, types_pred)
+        self._kernel_out, types_out = _table_and_types(kernel_out, types_out)
         n = types_pred.shape[0]
         if types_out.shape[0] != n:
             raise LengthMismatch(f"batch counts differ: {n} vs {types_out.shape[0]}")
-        self.bandwidth = float(bandwidth)
-        self._kernel_pred = _kernel_table(distances_pred, bandwidth)
-        self._kernel_out = _kernel_table(distances_out, bandwidth)
         # rows: original position, prediction type, output type of each
         # active batch, in order; the first ``_count`` columns are live
         self._rows = np.stack([np.arange(n), types_pred, types_out])
         self._count = n
+        # :attr:`active_indices` slices this read-only view of the positions
+        self._positions = self._rows[0].view()
+        self._positions.flags.writeable = False
         # both spaces' type densities in one vector, so a removal scales
         # them with one multiply and one divide
         u_pred = self._kernel_pred.shape[0]
@@ -206,8 +228,8 @@ class DensityState:
         # n increasing types among the table's n columns are the identity
         identity = types.shape[0] == kernel.shape[1] and bool(np.all(types[1:] > types[:-1]))
         if identity and kernel.flags.c_contiguous:
-            return _NORM * kernel.mean(axis=1)
-        return _NORM * np.take(kernel, types, axis=1).mean(axis=1)
+            return _mean_kernel(kernel)
+        return _mean_kernel(np.take(kernel, types, axis=1))
 
     @property
     def count(self) -> int:
@@ -219,9 +241,7 @@ class DensityState:
 
         A read-only view, valid until the next removal.
         """
-        view = self._rows[0, :self._count]
-        view.flags.writeable = False
-        return view
+        return self._positions[:self._count]
 
     @property
     def rho_pred(self) -> np.ndarray:
@@ -304,5 +324,5 @@ class DensityState:
         the same sum in the same order either way.
         """
         if types.size < kernel.shape[0]:
-            return _NORM * np.take(kernel[types], types, axis=1).mean(axis=1)
+            return _mean_kernel(np.take(kernel[types], types, axis=1))
         return cls._type_densities(kernel, types)[types]

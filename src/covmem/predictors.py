@@ -202,11 +202,14 @@ class LikelihoodPredictor(Predictor):
                 f"got {features.shape[1]}-dim features, centroids are "
                 f"{self._centroids.shape[1]}-dim"
             )
-        sq = _squared_distances(features, self._centroids[self._seen])
+        # exp(-d^2 / 2.0), built in the fresh array of squared distances.
         # Likelihoods underflow to zero a few dozen units out; the
         # background floor keeps every row a valid distribution.
+        scores = _squared_distances(features, self._centroids[self._seen])
         with np.errstate(under="ignore"):
-            scores = np.exp(-sq / 2.0)
+            np.negative(scores, out=scores)
+            scores /= 2.0
+            np.exp(scores, out=scores)
         out = np.full((len(features), self.n_bins), _BACKGROUND)
         out[:, self._seen] += scores
         out /= out.sum(axis=1, keepdims=True)

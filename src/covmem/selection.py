@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .batching import batch_samples, bbdr
-from .density import DensityState, _inverse_cdf, _softmax, kde
+from .density import DensityState, _inverse_cdf, _mean_kernel, _softmax, kernel_table
 from .distances import cross_distance_matrix, distance_matrix, distinct_rows
 from .errors import (
     BinOutOfRange,
@@ -31,6 +31,7 @@ from .samples import (
     StrategyConfig,
     _check_distribution_rows,
     require_finite,
+    validate_distribution,
 )
 
 __all__ = [
@@ -79,7 +80,14 @@ def discard_probabilities(densities: np.ndarray, temperature: float) -> np.ndarr
 
 
 def draw_index(probabilities: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from a categorical distribution."""
+    """Inverse-CDF draw from a categorical distribution.
+
+    ``probabilities`` must be a nonempty 1-D vector
+    (:class:`~covmem.errors.EmptyInput`) of finite, non-negative entries
+    summing to one (see :func:`~covmem.samples.validate_distribution`);
+    a vector that fails is refused before ``rng`` is drawn from.
+    """
+    probabilities = validate_distribution(probabilities)
     return _inverse_cdf(probabilities, rng, np.empty(probabilities.size))
 
 
@@ -97,18 +105,22 @@ def _spaces(pred_metric: str) -> tuple[str, str]:
 def _density_state(batches: BatchTable, bandwidth: float, spaces: tuple[str, str]):
     """A :class:`DensityState` over ``batches``, and each space's distinct rows.
 
-    Distances are computed between distinct rows only; returns the state
-    and, per space, ``(space, first, types)`` as
-    :func:`~covmem.distances.distinct_rows` gives them.
+    Distances are computed between distinct rows only, and each space's
+    kernel table is built in its distance table's own buffer, which the
+    state then owns: one ``u x u`` array per space, and no distance
+    table outlives its kernel.  Returns the state and, per space,
+    ``(space, first, types)`` as :func:`~covmem.distances.distinct_rows`
+    gives them.
     """
-    distinct, tables = [], []
+    distinct, kernels = [], []
     for space in spaces:
         first, types = distinct_rows(batches, space)
         distinct.append((space, first, types))
         # all rows distinct: the table itself, with no copy of its columns
-        tables.append(distance_matrix(batches if first.size == len(batches)
-                                      else batches.take(first), space))
-    state = DensityState(*tables, bandwidth, *(types for *_, types in distinct))
+        table = distance_matrix(batches if first.size == len(batches)
+                                else batches.take(first), space)
+        kernels.append(kernel_table(table, bandwidth, out=table))
+    state = DensityState(*kernels, *(types for *_, types in distinct))
     return state, distinct
 
 
@@ -116,13 +128,16 @@ def _cross_density(batches, first, types, reference, space, bandwidth):
     """Density the ``reference`` table assigns to each batch of ``types``, in one space.
 
     Distances run between the distinct rows present in ``types`` and the
-    reference's distinct rows; gathering them over the reference's types
-    gives each row of :func:`kde`'s full matrix bit for bit.
+    reference's distinct rows, and are turned into kernel values in their
+    own buffer.  The kernel is elementwise, so gathering those over the
+    reference's types and averaging gives :func:`~covmem.density.kde` of
+    the gathered distance matrix, each row of the full one, bit for bit.
     """
     present = np.bincount(types, minlength=first.size) > 0
     ref_first, ref_types = distinct_rows(reference, space)
     cross = cross_distance_matrix(batches.take(first[present]), reference.take(ref_first), space)
-    rho = kde(np.take(cross, ref_types, axis=1), bandwidth)
+    kernel_table(cross, bandwidth, out=cross)
+    rho = _mean_kernel(np.take(cross, ref_types, axis=1))
     return rho[(np.cumsum(present) - 1)[types]]
 
 

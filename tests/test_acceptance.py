@@ -37,7 +37,7 @@ from covmem import (
 )
 from covmem.batching import batch_samples
 from covmem.samples import SamplePool
-from covmem.density import DensityState
+from covmem.density import DensityState, kernel_table
 
 KERNEL_PEAK = 1.0 / np.sqrt(2.0 * np.pi)
 LN2 = np.log(2.0)
@@ -114,7 +114,7 @@ def test_criterion_02_incremental_density_matches_recomputation():
             d_pred = jsd_pairwise(rng.dirichlet(np.full(k, 0.6), size=n))
             d_out = jsd_pairwise(rng.dirichlet(np.full(k, 0.6), size=n))
             bandwidth = float(10 ** rng.uniform(-1.3, -0.5))
-            state = DensityState(d_pred, d_out, bandwidth)
+            state = DensityState(kernel_table(d_pred, bandwidth), kernel_table(d_out, bandwidth))
             active = np.arange(n)
             while True:
                 oracle = np.minimum(

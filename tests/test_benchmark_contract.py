@@ -52,11 +52,12 @@ def test_every_wrapped_name_exists_and_is_callable():
 
 def test_select_calls_each_timed_layer_once_per_unit_of_work(monkeypatch):
     """Per-layer counts mean what they say: one draw and one removal per discard,
-    one table per space.
+    one table per space, one density state per select.
 
     ``density.removals`` counts ``DensityState.remove_batch`` calls, and
     the traced split times distances at ``selection.distance_matrix``
-    and ``selection.cross_distance_matrix``.  Each discard draws through
+    and ``selection.cross_distance_matrix`` and the state's set-up at
+    ``DensityState.__init__``.  Each discard draws through
     ``DensityState.draw``, where a traced split would time the draw.
     """
     calls = Counter()
@@ -70,7 +71,8 @@ def test_select_calls_each_timed_layer_once_per_unit_of_work(monkeypatch):
         monkeypatch.setattr(owner, attr, wrapper)
 
     for owner, attr in ((selection, "distance_matrix"), (selection, "cross_distance_matrix"),
-                        (DensityState, "remove_batch"), (DensityState, "draw")):
+                        (DensityState, "__init__"), (DensityState, "remove_batch"),
+                        (DensityState, "draw")):
         count(owner, attr)
 
     rng = np.random.default_rng(0)
@@ -88,7 +90,7 @@ def test_select_calls_each_timed_layer_once_per_unit_of_work(monkeypatch):
     outcome = selection.select(memory, chunk(60), cfg, None, rng)
     assert outcome.trace
     assert calls == {"remove_batch": len(outcome.trace), "draw": len(outcome.trace),
-                     "distance_matrix": 2, "cross_distance_matrix": 2}
+                     "distance_matrix": 2, "cross_distance_matrix": 2, "__init__": 1}
 
 
 def test_chunks_iterate_as_the_rows_the_gate_reads():

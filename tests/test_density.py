@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covmem import BatchTable, DensityState, distance_matrix, kde
-from covmem.density import _kernel_table
+from covmem.density import kernel_table
 from covmem.distances import distinct_rows
 from covmem.errors import EmptyInput, LastBatch, NegativeTemperature, NonPositiveBandwidth
 from covmem.selection import discard_probabilities, draw_index
@@ -46,7 +46,8 @@ class TestKde:
         with pytest.raises(NonPositiveBandwidth, match="positive and finite"):
             kde(np.zeros((1, 1)), bandwidth=bandwidth)
         with pytest.raises(NonPositiveBandwidth, match="positive and finite"):
-            DensityState(np.zeros((1, 1)), np.zeros((1, 1)), bandwidth)
+            DensityState(kernel_table(np.zeros((1, 1)), bandwidth),
+                         kernel_table(np.zeros((1, 1)), bandwidth))
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
@@ -59,7 +60,8 @@ def random_state(rng, n):
         pts = rng.uniform(0, 1, size=(n, 3))
         d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
         return np.minimum(d, 1.0)
-    return DensityState(mat(), mat(), bandwidth=float(rng.uniform(0.05, 0.5)))
+    bandwidth = float(rng.uniform(0.05, 0.5))
+    return DensityState(kernel_table(mat(), bandwidth), kernel_table(mat(), bandwidth))
 
 
 class TestDensityState:
@@ -91,6 +93,9 @@ class TestDensityState:
         np.testing.assert_array_equal(state.active_indices, [1, 3, 4])
         assert state.count == 3
         assert not state.active_indices.flags.writeable  # handed out without a copy
+        state.remove_batch(1)
+        np.testing.assert_array_equal(state.active_indices, [1, 4])
+        assert not state.active_indices.flags.writeable
 
     def test_rho_min_is_the_elementwise_min(self):
         rng = np.random.default_rng(4)
@@ -100,7 +105,8 @@ class TestDensityState:
         )
 
     def test_refuses_to_empty_itself(self):
-        state = DensityState(np.zeros((1, 1)), np.zeros((1, 1)), bandwidth=0.1)
+        state = DensityState(kernel_table(np.zeros((1, 1)), 0.1),
+                             kernel_table(np.zeros((1, 1)), 0.1))
         with pytest.raises(LastBatch):
             state.remove_batch(0)
 
@@ -114,21 +120,23 @@ class TestDensityState:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            DensityState(np.zeros((2, 2)), np.zeros((3, 3)), bandwidth=0.1)
+            DensityState(kernel_table(np.zeros((2, 2)), 0.1), kernel_table(np.zeros((3, 3)), 0.1))
 
     def test_fortran_ordered_matrix_gives_the_same_bits(self):
         """Row means of a Fortran-ordered table sum in the C-ordered table's order."""
         rng = np.random.default_rng(8)
         pts = rng.uniform(0, 1, size=(40, 3))
         d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
-        c_state = DensityState(d, d, bandwidth=0.2)
-        f_state = DensityState(np.asfortranarray(d), np.asfortranarray(d), bandwidth=0.2)
+        c_state = DensityState(kernel_table(d, 0.2), kernel_table(d, 0.2))
+        f_state = DensityState(kernel_table(np.asfortranarray(d), 0.2),
+                               kernel_table(np.asfortranarray(d), 0.2))
         assert c_state.rho_pred.tobytes() == kde(d, 0.2).tobytes()
         assert f_state.rho_pred.tobytes() == c_state.rho_pred.tobytes()
         assert f_state.rho_out.tobytes() == c_state.rho_out.tobytes()
 
     def test_kernel_table_equals_the_textbook_expression(self):
-        """``exp(-0.5 * (s * s))`` in one array equals ``exp(-0.5 * s * s)`` bit for bit."""
+        """``exp(-0.5 * (s * s))`` in one array equals ``exp(-0.5 * s * s)`` bit for bit,
+        and building it in the distances' own buffer gives the same bytes."""
         rng = np.random.default_rng(9)
         tiny = np.finfo(float).tiny
         d = np.concatenate([rng.uniform(0, 1, 2000), np.ldexp(1.0, np.arange(-1074, 1024, 3)),
@@ -136,7 +144,18 @@ class TestDensityState:
         with np.errstate(over="ignore"):
             for h in (0.05, 0.1, 0.3, 1e-160, 1e160):
                 scaled = d / h
-                assert _kernel_table(d, h).tobytes() == np.exp(-0.5 * scaled * scaled).tobytes()
+                want = np.exp(-0.5 * scaled * scaled).tobytes()
+                assert kernel_table(d, h).tobytes() == want
+                buffer = d.copy()
+                assert kernel_table(buffer, h, out=buffer) is buffer
+                assert buffer.tobytes() == want
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.inf, np.nan])
+    def test_kernel_table_checks_the_bandwidth(self, bandwidth):
+        d = np.zeros((2, 2))
+        with pytest.raises(NonPositiveBandwidth, match="positive and finite"):
+            kernel_table(d, bandwidth, out=d)
+        assert not d.any()  # refused before the buffer is written
 
     def test_matrices_are_not_copied_on_removal(self):
         """Removal cost must not grow with matrix size via copying."""
@@ -180,8 +199,8 @@ class TestTablesOverDistinctRows:
             tables.append(table)
             types.append(space_types)
             full.append(matrix)
-        from_tables = DensityState(*tables, bandwidth, *types)
-        from_matrices = DensityState(*full, bandwidth)
+        from_tables = DensityState(*(kernel_table(t, bandwidth) for t in tables), *types)
+        from_matrices = DensityState(*(kernel_table(m, bandwidth) for m in full))
         while True:
             for got, want in ((from_tables.rho_pred, from_matrices.rho_pred),
                               (from_tables.rho_out, from_matrices.rho_out),
@@ -196,9 +215,11 @@ class TestTablesOverDistinctRows:
 
     def test_types_must_index_the_table(self):
         with pytest.raises(ValueError):
-            DensityState(np.zeros((2, 2)), np.zeros((1, 1)), 0.1, [0, 2], [0, 0])
+            DensityState(kernel_table(np.zeros((2, 2)), 0.1), kernel_table(np.zeros((1, 1)), 0.1),
+                         [0, 2], [0, 0])
         with pytest.raises(ValueError):
-            DensityState(np.zeros((2, 2)), np.zeros((1, 1)), 0.1, [0, 1, 1], [0, 0])
+            DensityState(kernel_table(np.zeros((2, 2)), 0.1), kernel_table(np.zeros((1, 1)), 0.1),
+                         [0, 1, 1], [0, 0])
 
 
 def typed_state(rng, n):
@@ -209,9 +230,9 @@ def typed_state(rng, n):
     tables, types = [], []
     for space in ("pred", "out"):
         first, space_types = distinct_rows(batches, space)
-        tables.append(distance_matrix(batches.take(first), space))
+        tables.append(kernel_table(distance_matrix(batches.take(first), space), 0.1))
         types.append(space_types)
-    return DensityState(*tables, 0.1, *types)
+    return DensityState(*tables, *types)
 
 
 class TestDraw:
@@ -240,7 +261,7 @@ class TestDraw:
 
     def test_zero_temperature_takes_the_first_densest_and_one_uniform(self):
         d = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        state = DensityState(d, np.zeros((3, 3)), 0.1)
+        state = DensityState(kernel_table(d, 0.1), kernel_table(np.zeros((3, 3)), 0.1))
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
         assert state.draw(0.0, rng) == (0, 1.0)  # batches 0 and 2 tie
         ref_rng.random()

@@ -13,7 +13,7 @@ from covmem import (
     with_losses,
 )
 from covmem.errors import EmptyTrainingSet, LengthMismatch, PredictorDimensionMismatch
-from covmem.predictors import _class_means
+from covmem.predictors import _BACKGROUND, _class_means, _squared_distances
 
 WORST_LOGSCORE = -39.86313713864835  # log2 of the 1e-12 probability floor
 # 1 / (1 + e^-9): two centroids 3 apart, query sitting on the first one
@@ -193,6 +193,21 @@ class TestLikelihood:
         stacked = p.predict_many(queries)
         for q, row in zip(queries, stacked):
             np.testing.assert_allclose(row, p.predict(q), atol=1e-15)
+
+    def test_predict_many_is_the_two_temporary_expression_byte_for_byte(self):
+        """In-place likelihoods give the bytes of ``exp(-sq / 2.0)``, underflowed zeros included."""
+        rng = np.random.default_rng(5)
+        train = [labeled(rng.normal(size=3), int(rng.integers(4)), i) for i in range(30)]
+        p = LikelihoodPredictor(5).fit(SamplePool.from_samples(train))
+        queries = np.concatenate([rng.normal(size=(20, 3)), rng.uniform(20, 60, (20, 3))])
+        sq = _squared_distances(queries, p._centroids[p._seen])
+        with np.errstate(under="ignore"):
+            scores = np.exp(-sq / 2.0)
+        assert (scores == 0).any() and (scores > 0).all(axis=1).any()
+        want = np.full((len(queries), p.n_bins), _BACKGROUND)
+        want[:, p._seen] += scores
+        want /= want.sum(axis=1, keepdims=True)
+        assert p.predict_many(queries).tobytes() == want.tobytes()
 
     def test_rows_are_distributions_even_when_likelihoods_underflow(self):
         rng = np.random.default_rng(4)

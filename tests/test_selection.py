@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from covmem import (
+    BatchTable,
     ReplayMemory,
     Sample,
     SamplePool,
@@ -12,12 +14,24 @@ from covmem import (
     UniformPredictor,
     batch_samples,
     discard_probabilities,
+    cross_distance_matrix,
+    distance_matrix,
     draw_index,
+    kde,
     rci,
     retrain_decision,
     select,
 )
-from covmem.errors import EmptyCurrentSet, EmptyInput, NegativeTemperature, NonFiniteValue
+from covmem.distances import _SCRATCH, distinct_rows
+from covmem.errors import (
+    EmptyCurrentSet,
+    EmptyInput,
+    NegativeProbability,
+    NegativeTemperature,
+    NonFiniteValue,
+    NonNormalizedPrediction,
+)
+from covmem.selection import _cross_density, _density_state
 
 # softmax([0.4, 0.3] / 0.01), frozen from a high-precision evaluation
 SOFTMAX_TENTH_GAP = (0.9999546021312976, 4.5397868702434395e-05)
@@ -98,9 +112,81 @@ class TestDrawIndex:
         p = np.full(7, 1 / 7)
         assert all(0 <= draw_index(p, rng) < 7 for _ in range(1000))
 
+    @pytest.mark.parametrize("bad, error", [
+        (np.array([]), EmptyInput),
+        (np.array([[0.5, 0.5]]), EmptyInput),
+        (np.array([0.5, np.nan, 0.5]), NonFiniteValue),
+        (np.array([0.5, np.inf]), NonFiniteValue),
+        (np.array([1.5, -0.5]), NegativeProbability),
+        (np.array([0.5, 0.25]), NonNormalizedPrediction),
+    ], ids=["empty", "2-D", "nan", "inf", "negative", "unnormalized"])
+    def test_bad_vector_is_refused_before_the_draw(self, bad, error):
+        """Unchecked, an empty vector drew -1 and a NaN or negative entry an arbitrary index."""
+        rng, untouched = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(error):
+            draw_index(bad, rng)
+        assert rng.bit_generator.state == untouched.bit_generator.state
+
 
 def batches_from(samples, batch_size=1):
     return batch_samples(SamplePool.from_samples(samples), batch_size=batch_size)
+
+
+def batch_table(pred_dist, out_bin):
+    n = len(out_bin)
+    return BatchTable(member_ids=np.arange(n), size=np.ones(n, dtype=np.int64),
+                      pred_dist=pred_dist, out_bin=out_bin, mean_features=np.zeros((n, 1)))
+
+
+class TestKernelTables:
+    """``select``'s kernel tables take their distance tables' place, with the same bits."""
+
+    def test_density_state_holds_one_table_per_space(self):
+        """With every prediction row distinct the pred table is ``n x n``: building its
+        kernel beside the distances would hold two of them at once."""
+        n, k = 509, 21
+        rng = np.random.default_rng(0)
+        batches = batch_table(rng.dirichlet(np.ones(k), size=n), rng.integers(k, size=n))
+        u_out = np.unique(batches.out_bin).size
+        tracemalloc.start()
+        try:
+            state, distinct = _density_state(batches, 0.1, ("pred", "out"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert distinct[0][1].size == n
+        tables = 8 * (n * n + u_out * u_out)
+        scratch = 2 * 8 * min(n * n * k, max(_SCRATCH, n * k))  # jsd_pairwise's two arrays
+        budget = 1.1 * (tables + scratch)
+        assert peak < budget, f"peak {peak} bytes over {budget:.0f}"
+        # the state's pred table is the kernel of the distances, bit for bit
+        want = kde(distance_matrix(batches, "pred"), 0.1)
+        assert state.rho_pred.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("space", ["pred", "out"])
+    def test_cross_density_is_kde_of_the_gathered_cross_table(self, space, seed):
+        rng = np.random.default_rng(seed)
+        k = 4
+        palette = np.vstack([rng.dirichlet(np.ones(k), size=5), np.eye(k)[:2]])
+        batches = batch_table(palette[rng.integers(len(palette), size=30)],
+                              rng.integers(k, size=30))
+        reference = batch_table(palette[rng.integers(len(palette), size=25)],
+                                rng.integers(k, size=25))
+        first, types = distinct_rows(batches, space)
+        ref_first, ref_types = distinct_rows(reference, space)
+        assert ref_first.size < len(reference)  # repeated reference rows
+        active = np.sort(rng.choice(len(batches), size=12, replace=False))
+        types = types[active]
+        present = np.bincount(types, minlength=first.size) > 0
+        cross = cross_distance_matrix(batches.take(first[present]),
+                                      reference.take(ref_first), space)
+        want = kde(np.take(cross, ref_types, axis=1), 0.1)[(np.cumsum(present) - 1)[types]]
+        got = _cross_density(batches, first, types, reference, space, 0.1)
+        assert got.tobytes() == want.tobytes()
+        # and so each row of kde over the full cross matrix
+        full = kde(cross_distance_matrix(batches.take(active), reference, space), 0.1)
+        assert got.tobytes() == full.tobytes()
 
 
 class TestRci:
