@@ -59,15 +59,12 @@ initial value of the reduction.  A test holds the helper to
 ``np.add.reduce`` byte for byte for every ``k`` up to 300, so a change
 of numpy's order shows there first.
 
-Point masses need no entropy pass at all: two point masses are at
-distance exactly 0 in the same bin and exactly 1 in different bins.
-When every input row is a point mass (one nonzero entry, equal to 1.0),
-as the one-hot predictions of an oracle are, both matrix paths return
-that bin comparison directly.  The result equals the entropy path's bit
-for bit.  A batch never spans output bins, so its output distribution is
-always a point mass: the ``"out"`` space of :func:`distance_matrix`
-compares the batches' ``out_bin`` column the same way, with no rows to
-build.
+A batch never spans output bins, so its output distribution is always
+a point mass, and two point masses are at distance exactly 0 in the
+same bin and exactly 1 in different bins: the ``"out"`` space of
+:func:`distance_matrix` compares the batches' ``out_bin`` column that
+way, with no rows to build and no entropy pass.  The entropy path gives
+one-hot rows the same 0s and 1s bit for bit.
 
 Batch summaries repeat, so callers need not compare every pair of
 batches: :func:`distinct_rows` returns the bitwise-distinct rows of a
@@ -195,16 +192,6 @@ def _plane_sum(planes: np.ndarray) -> np.ndarray:
     return planes[0]
 
 
-def _point_mass_bins(rows: np.ndarray):
-    """Bin of each row if every row is a point mass, else ``None``."""
-    n = rows.shape[0]
-    bins = rows.argmax(axis=1)
-    # n nonzeros in n rows, each row's largest equal to 1: one 1.0 per row
-    if np.count_nonzero(rows) == n and np.all(rows[np.arange(n), bins] == 1.0):
-        return bins
-    return None
-
-
 def _bin_mismatch(bins_a: np.ndarray, bins_b: np.ndarray) -> np.ndarray:
     """JSD between point masses on ``bins_a`` and ``bins_b``: 0 in the same bin, else 1."""
     return (bins_a[:, None] != bins_b[None, :]).astype(float)
@@ -290,7 +277,10 @@ def _jsd_kernel(rows_a, rows_b, ent_a, ent_b):
         # the mixture's entropy in bits, -sum / log 2, minus the mean row entropy
         div = np.negative(_plane_sum(logs), out=logs[0])
         div /= _LOG2
-        div -= 0.5 * (ent_a[rows, None] + ent_b[None, cols])
+        # the mean row entropy, built in the mixture's now free first plane
+        mean_ent = np.add(ent_a[rows, None], ent_b[None, cols], out=mix[0])
+        mean_ent *= 0.5
+        div -= mean_ent
         np.maximum(div, 0.0, out=div)
         return np.sqrt(div, out=div)
     return kernel
@@ -323,9 +313,6 @@ def jsd_pairwise(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise EmptyInput(f"expected a nonempty (n, k) array, got shape {rows.shape}")
-    bins = _point_mass_bins(rows)
-    if bins is not None:
-        return _bin_mismatch(bins, bins)
     n, k = rows.shape
     ent = _entropy_rows(rows)
     return _blocked(_jsd_kernel(rows, rows, ent, ent), n, n, k, 2, upper=True)
@@ -344,9 +331,6 @@ def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
         raise LengthMismatch(
             f"bin counts differ: {rows_a.shape[1]} vs {rows_b.shape[1]}"
         )
-    bins_a, bins_b = _point_mass_bins(rows_a), _point_mass_bins(rows_b)
-    if bins_a is not None and bins_b is not None:
-        return _bin_mismatch(bins_a, bins_b)
     kernel = _jsd_kernel(rows_a, rows_b, _entropy_rows(rows_a), _entropy_rows(rows_b))
     return _blocked(kernel, rows_a.shape[0], rows_b.shape[0], rows_a.shape[1], 2, upper=False)
 

@@ -44,7 +44,11 @@ __all__ = [
     "REPORT_FIELDS",
 ]
 
-PREDICTOR_KINDS = ("histogram", "centroid", "likelihood", "oracle", "uniform")
+# each predictor kind's class; only the oracle also takes the scenario's class means
+_PREDICTORS = {"histogram": HistogramPredictor, "centroid": CentroidPredictor,
+               "likelihood": LikelihoodPredictor, "oracle": OraclePredictor,
+               "uniform": UniformPredictor}
+PREDICTOR_KINDS = tuple(_PREDICTORS)
 
 
 @dataclass(frozen=True)
@@ -242,19 +246,11 @@ def percentile_nearest_rank(values, q: float) -> float:
 
 
 def _make_predictor(kind: str, spec: ScenarioSpec | None, k_pred: int) -> Predictor:
-    if kind == "histogram":
-        return HistogramPredictor(k_pred)
-    if kind == "centroid":
-        return CentroidPredictor(k_pred)
-    if kind == "likelihood":
-        return LikelihoodPredictor(k_pred)
-    if kind == "uniform":
-        return UniformPredictor(k_pred)
-    if kind == "oracle":
-        if spec is None:
-            raise ConfigError("the oracle predictor needs a synthetic scenario's class means")
-        return OraclePredictor(spec.class_means, k_pred)
-    raise ConfigError(f"unknown predictor {kind!r}")
+    if kind != "oracle":
+        return _PREDICTORS[kind](k_pred)
+    if spec is None:
+        raise ConfigError("the oracle predictor needs a synthetic scenario's class means")
+    return OraclePredictor(spec.class_means, k_pred)
 
 
 def _evaluate(predictor: Predictor, pool: SamplePool, spec: ScenarioSpec | None,

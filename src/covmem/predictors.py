@@ -129,14 +129,15 @@ def _squared_distances(features: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-class CentroidPredictor(Predictor):
-    """Soft nearest-centroid classifier.
+def _check_width(features: np.ndarray, means: np.ndarray) -> None:
+    if features.shape[1] != means.shape[1]:
+        raise PredictorDimensionMismatch(
+            f"got {features.shape[1]}-dim features, class means are {means.shape[1]}-dim"
+        )
 
-    Stores the mean feature vector of every label seen during training
-    and predicts ``softmax(-d_k^2)`` over those labels, where ``d_k`` is
-    the distance to centroid ``k``.  Bins absent from the training set
-    get zero mass and the rest is renormalized.
-    """
+
+class _ClassMeansPredictor(Predictor):
+    """Scores by squared distance to each trained bin's mean features; predicts uniform unfit."""
 
     def __init__(self, n_bins: int, centroids: np.ndarray | None = None,
                  seen: np.ndarray | None = None):
@@ -145,28 +146,40 @@ class CentroidPredictor(Predictor):
         self._seen = seen            # boolean mask of trained bins
 
     def fit(self, pool):
-        centroids, seen = _class_means(pool, self.n_bins)
-        return CentroidPredictor(self.n_bins, centroids, seen)
+        return type(self)(self.n_bins, *_class_means(pool, self.n_bins))
 
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)
         if self._centroids is None:
             return self._uniform(len(features))
-        if features.shape[1] != self._centroids.shape[1]:
-            raise PredictorDimensionMismatch(
-                f"got {features.shape[1]}-dim features, centroids are "
-                f"{self._centroids.shape[1]}-dim"
-            )
-        logits = -_squared_distances(features, self._centroids[self._seen])
+        _check_width(features, self._centroids)
+        return self._distributions(_squared_distances(features, self._centroids[self._seen]))
+
+    @abstractmethod
+    def _distributions(self, sq: np.ndarray) -> np.ndarray:
+        """Rows over all ``n_bins`` bins from squared distances to the seen bins' means."""
+
+
+class CentroidPredictor(_ClassMeansPredictor):
+    """Soft nearest-centroid classifier.
+
+    Stores the mean feature vector of every label seen during training
+    and predicts ``softmax(-d_k^2)`` over those labels, where ``d_k`` is
+    the distance to centroid ``k``.  Bins absent from the training set
+    get zero mass and the rest is renormalized.
+    """
+
+    def _distributions(self, sq):
+        logits = -sq
         logits -= logits.max(axis=1, keepdims=True)
         weights = np.exp(logits)
         weights /= weights.sum(axis=1, keepdims=True)
-        out = np.zeros((len(features), self.n_bins))
+        out = np.zeros((len(sq), self.n_bins))
         out[:, self._seen] = weights
         return out
 
 
-class LikelihoodPredictor(Predictor):
+class LikelihoodPredictor(_ClassMeansPredictor):
     """Gaussian-likelihood classifier with a uniform background floor.
 
     Like :class:`CentroidPredictor` it stores per-label mean feature
@@ -183,35 +196,16 @@ class LikelihoodPredictor(Predictor):
     honest answer for junk inputs.
     """
 
-    def __init__(self, n_bins: int, centroids: np.ndarray | None = None,
-                 seen: np.ndarray | None = None):
-        self.n_bins = n_bins
-        self._centroids = centroids
-        self._seen = seen
-
-    def fit(self, pool):
-        centroids, seen = _class_means(pool, self.n_bins)
-        return LikelihoodPredictor(self.n_bins, centroids, seen)
-
-    def predict_many(self, features):
-        features = np.asarray(features, dtype=float)
-        if self._centroids is None:
-            return self._uniform(len(features))
-        if features.shape[1] != self._centroids.shape[1]:
-            raise PredictorDimensionMismatch(
-                f"got {features.shape[1]}-dim features, centroids are "
-                f"{self._centroids.shape[1]}-dim"
-            )
+    def _distributions(self, sq):
         # exp(-d^2 / 2.0), built in the fresh array of squared distances.
         # Likelihoods underflow to zero a few dozen units out; the
         # background floor keeps every row a valid distribution.
-        scores = _squared_distances(features, self._centroids[self._seen])
         with np.errstate(under="ignore"):
-            np.negative(scores, out=scores)
-            scores /= 2.0
-            np.exp(scores, out=scores)
-        out = np.full((len(features), self.n_bins), _BACKGROUND)
-        out[:, self._seen] += scores
+            np.negative(sq, out=sq)
+            sq /= 2.0
+            np.exp(sq, out=sq)
+        out = np.full((len(sq), self.n_bins), _BACKGROUND)
+        out[:, self._seen] += sq
         out /= out.sum(axis=1, keepdims=True)
         return out
 
@@ -239,11 +233,7 @@ class OraclePredictor(Predictor):
 
     def predict_many(self, features):
         features = np.asarray(features, dtype=float)
-        if features.shape[1] != self.class_means.shape[1]:
-            raise PredictorDimensionMismatch(
-                f"got {features.shape[1]}-dim features, means are "
-                f"{self.class_means.shape[1]}-dim"
-            )
+        _check_width(features, self.class_means)
         sq = _squared_distances(features, self.class_means)
         out = np.zeros((len(features), self.n_bins))
         out[np.arange(len(features)), sq.argmin(axis=1)] = 1.0

@@ -514,13 +514,34 @@ def write_samples(path, samples) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+# What JSON must read each typed record field as, with no coercion: bools
+# are not integers or numbers, and a vector's entries are not strings.
+_INT = ("a JSON integer", lambda v: type(v) is int)
+_NUMBER = ("a JSON number", lambda v: type(v) in (int, float))
+_FLAG = ("0, 1, true or false", lambda v: type(v) in (int, bool) and v in (0, 1))
+_VECTOR = ("free of strings", lambda v: not isinstance(v, str)
+           and not (isinstance(v, list) and any(isinstance(x, str) for x in v)))
+
+
+def _typed(record: dict, name: str, kind: tuple, *default):
+    """Field ``name`` of ``record`` (``default``, if given, when absent), checked to be ``kind``."""
+    expected, accepts = kind
+    value = record.get(name, *default) if default else record[name]
+    if not accepts(value):
+        raise ValueError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
 def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> SamplePool:
     """Parse a sample-record file into a :class:`SamplePool`.
 
     Arrival indices count the records, skipping blank lines.  Unknown
     fields are ignored; a missing ``loss`` reads NaN.  An unparsable
-    record raises ``ValueError``.  The columns must hold finite features
-    of one length and finite distributions of one length, with
+    or mistyped record raises ``ValueError``: ``output_bin`` and
+    ``workload`` are JSON integers, ``stalled`` and ``noise`` 0, 1, true
+    or false, ``raw_output`` and ``loss`` JSON numbers, and ``features``
+    and ``prediction`` hold no strings.  The columns must hold finite
+    features of one length and finite distributions of one length, with
     ``k_pred`` bins and ``output_bin`` in ``[0, k_out)`` when given.
     Each error is the first bad record's, and names its line.
     """
@@ -532,10 +553,11 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> S
             try:
                 r = json.loads(line)
                 # in Sample field order; the arrival index counts the records
-                records.append((r["features"], int(r["output_bin"]), r["prediction"],
-                                len(records), float(r["raw_output"]),
-                                float(r.get("loss", np.nan)), bool(r.get("stalled", 0)),
-                                int(r.get("workload", -1)), bool(r.get("noise", 0))))
+                records.append((_typed(r, "features", _VECTOR), _typed(r, "output_bin", _INT),
+                                _typed(r, "prediction", _VECTOR), len(records),
+                                _typed(r, "raw_output", _NUMBER), _typed(r, "loss", _NUMBER, np.nan),
+                                _typed(r, "stalled", _FLAG, 0), _typed(r, "workload", _INT, -1),
+                                _typed(r, "noise", _FLAG, 0)))
             except (KeyError, TypeError, ValueError) as err:
                 unreadable = (lineno, err)  # raised once the records before it pass
                 break

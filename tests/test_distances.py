@@ -178,7 +178,11 @@ def mixed_rows(n, k, point_mass_share, seed):
 
 
 class TestHalfMatrixAndPointMassPaths:
-    """Both shortcuts give exactly the full-square entropy pass's numbers."""
+    """The half matrix gives exactly the full-square entropy pass's numbers.
+
+    Point-mass rows have no shortcut of their own: they take the entropy
+    path, which gives them the bin comparison's 0s and 1s bit for bit.
+    """
 
     @given(st.integers(1, 40), st.integers(1, 24), st.integers(1, 50),
            st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
@@ -353,6 +357,19 @@ class TestCacheSizedBlocks:
                 tracemalloc.stop()
             assert out.shape == (n, n)
             assert peak < bound, f"peak {peak / 2**20:.1f} MiB over {bound / 2**20:.1f} MiB"
+
+    def test_jsd_blocks_allocate_only_their_scratch(self):
+        """Beside its output, a JSD call holds its two scratch arrays and small per-row
+        arrays: the mean row entropy is built in the block's own scratch."""
+        rows = np.random.default_rng(12).dirichlet(np.ones(2), size=700)
+        for call in (lambda: jsd_pairwise(rows), lambda: jsd_cross(rows, rows[:350])):
+            tracemalloc.start()
+            try:
+                out = call()
+                above = tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+            assert above < 1.3 * 2**20, f"peak {above / 2**20:.2f} MiB above the output"
 
 
 def dirichlet_rows(k, n):

@@ -1,7 +1,8 @@
-"""Every exported name resolves, and every top-level export has a use.
+"""Every exported name resolves, and every top-level export and private helper has a use.
 
-A deleted function cannot stay listed in ``__all__``, and a name cannot
-join ``covmem.__all__`` without a test, demo or README line that uses it.
+A deleted function cannot stay listed in ``__all__``, a name cannot
+join ``covmem.__all__`` without a test, demo or README line that uses it,
+and a private helper cannot outlive its last caller.
 """
 import ast
 import importlib
@@ -47,3 +48,49 @@ def test_every_top_level_name_has_a_documented_or_tested_use():
     unused = [name for name in covmem.__all__
               if name not in used and not re.search(rf"`(covmem\.)?{name}\b", readme)]
     assert not unused, f"exported from covmem with no test, demo or README use: {unused}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module):
+    """Module-level private functions, classes and constants, and private methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if is_private(node.name):
+                yield node.name
+            if isinstance(node, ast.ClassDef):
+                yield from (item.name for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and is_private(item.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name) and is_private(t.id))
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    """Names read as a variable or attribute, or imported, anywhere in ``tree``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_private_helper_has_a_use():
+    """A private helper whose last caller is deleted goes with it: each one is named
+    somewhere in the package, its tests or the benchmark."""
+    def parse(path):
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    sources = [path for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    used = set().union(*(names_used(parse(path)) for path in sources))
+    unused = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "covmem").glob("*.py"))
+              for name in private_definitions(parse(path)) if name not in used]
+    assert not unused, f"private helpers that nothing names: {unused}"

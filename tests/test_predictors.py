@@ -250,6 +250,10 @@ class TestOracle:
         with pytest.raises(ValueError):
             OraclePredictor(np.zeros(2))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(PredictorDimensionMismatch):
+            OraclePredictor(np.zeros((2, 2))).predict(np.zeros(3))
+
 
 class TestWithLosses:
     def test_scores_match_loss_method(self):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from dataclasses import fields
 from unittest import mock
@@ -536,3 +537,16 @@ class TestRecords:
         path.write_text(self.GOOD.replace("[0.5, 0.5]", prediction))
         with pytest.raises(EmptyInput, match="line 1"):
             read_samples(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("output_bin", 1.7), ("output_bin", "1"), ("output_bin", True), ("workload", 2.9),
+        ("workload", False), ("stalled", "no"), ("stalled", 2), ("noise", 0.5),
+        ("raw_output", "2.5"), ("loss", "0.25"), ("loss", True),
+        ("features", ["0.5", "1"]), ("prediction", ["0.5", 0.5]),
+    ])
+    def test_a_mistyped_field_is_refused_not_coerced(self, tmp_path, field, value):
+        path = tmp_path / "records.ndjson"
+        path.write_text(self.GOOD + "\n" + json.dumps(json.loads(self.GOOD) | {field: value}))
+        with pytest.raises(ValueError, match=f"line 2: {field} must be") as info:
+            read_samples(path, k_pred=2, k_out=2)
+        assert type(info.value) is ValueError
