@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import QBC_VOTES, STRATEGY_KINDS, make_strategy
-from .errors import BadFraction, ConfigError, EmptyInput, NotClassification, UnbalancedEvalSet
+from .errors import ConfigError, EmptyInput, NotClassification, UnbalancedEvalSet
 from .predictors import (
     CentroidPredictor,
     HistogramPredictor,
@@ -276,24 +276,21 @@ def _evaluate(predictor: Predictor, pool: SamplePool, spec: ScenarioSpec | None,
 
 
 def scenario_stream(scenario: str, seed: int, noise_fraction: float = 0.0, **shape):
-    """Build a scenario and its stream, with noise injected when asked.
+    """Build a scenario and its stream, with ``noise_fraction`` of it noise.
 
     ``shape`` holds scenario-builder keywords; a ``None`` value keeps the
     builder's default, and ``stationary`` reaches ``rare_patterns`` only.
-    A ``noise_fraction`` outside ``[0, 1]``, or NaN, raises
-    :class:`~covmem.errors.BadFraction` before anything is built.
+    Every stream goes through :func:`~covmem.workloads.inject_noise`,
+    for which a fraction of 0 is the identity.  A ``noise_fraction``
+    outside ``[0, 1]``, or NaN, raises :class:`~covmem.errors.BadFraction`
+    once the spec is built, before the stream is read.
     Returns ``(stream, spec)``.
     """
-    if not 0.0 <= noise_fraction <= 1.0:
-        raise BadFraction(f"noise fraction must lie in [0, 1], got {noise_fraction}")
     shape = {k: v for k, v in shape.items() if v is not None}
     if scenario != "rare_patterns":
         shape.pop("stationary", None)
     spec = build_scenario(scenario, **shape)
-    stream = generate(spec, seed)
-    if noise_fraction > 0:
-        stream = inject_noise(stream, noise_fraction, spec, seed)
-    return stream, spec
+    return inject_noise(generate(spec, seed), noise_fraction, spec, seed), spec
 
 
 def _stream_and_spec(config: RunConfig):

@@ -514,13 +514,13 @@ def write_samples(path, samples) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-# What JSON must read each typed record field as, with no coercion: bools
-# are not integers or numbers, and a vector's entries are not strings.
-_INT = ("a JSON integer", lambda v: type(v) is int)
+# What JSON must read each typed record field as, with no coercion: bools are not
+# integers, numbers or vector entries, integers fit int64, and vectors hold no strings.
+_INT = ("a JSON integer in int64 range", lambda v: type(v) is int and -2**63 <= v < 2**63)
 _NUMBER = ("a JSON number", lambda v: type(v) in (int, float))
 _FLAG = ("0, 1, true or false", lambda v: type(v) in (int, bool) and v in (0, 1))
-_VECTOR = ("free of strings", lambda v: not isinstance(v, str)
-           and not (isinstance(v, list) and any(isinstance(x, str) for x in v)))
+_VECTOR = ("free of strings and bools", lambda v: not isinstance(v, (str, bool))
+           and not (isinstance(v, list) and any(isinstance(x, (str, bool)) for x in v)))
 
 
 def _typed(record: dict, name: str, kind: tuple, *default):
@@ -537,10 +537,11 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> S
 
     Arrival indices count the records, skipping blank lines.  Unknown
     fields are ignored; a missing ``loss`` reads NaN.  An unparsable
-    or mistyped record raises ``ValueError``: ``output_bin`` and
-    ``workload`` are JSON integers, ``stalled`` and ``noise`` 0, 1, true
-    or false, ``raw_output`` and ``loss`` JSON numbers, and ``features``
-    and ``prediction`` hold no strings.  The columns must hold finite
+    or mistyped record raises ``ValueError``: a record is a JSON object,
+    ``output_bin`` and ``workload`` are JSON integers in int64 range,
+    ``stalled`` and ``noise`` 0, 1, true or false, ``raw_output`` and
+    ``loss`` JSON numbers, and ``features`` and ``prediction`` hold no
+    strings or bools.  The columns must hold finite
     features of one length and finite distributions of one length, with
     ``k_pred`` bins and ``output_bin`` in ``[0, k_out)`` when given.
     Each error is the first bad record's, and names its line.
@@ -552,6 +553,8 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> S
                 continue
             try:
                 r = json.loads(line)
+                if type(r) is not dict:
+                    raise ValueError("record must be a JSON object")
                 # in Sample field order; the arrival index counts the records
                 records.append((_typed(r, "features", _VECTOR), _typed(r, "output_bin", _INT),
                                 _typed(r, "prediction", _VECTOR), len(records),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadFraction, BadSchedule
-from .samples import SamplePool
+from .samples import _SCALAR_DTYPES, SamplePool
 
 __all__ = [
     "ScenarioSpec",
@@ -303,6 +303,19 @@ def eval_set(spec: ScenarioSpec, iteration: int, per_class: int, seed: int = 0) 
     return _draw_class_samples(spec, labels, iteration, rng, 0)
 
 
+def _pair_distances(means: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every pair of rows, bit for bit as ``scipy``'s ``pdist``.
+
+    Squared differences are added one coordinate at a time, in ``pdist``'s
+    order; a row sum would add them pairwise and move the last bits.
+    """
+    i, j = np.triu_indices(len(means), k=1)
+    squared = np.zeros(len(i))
+    for column in (means[i] - means[j]).T:
+        squared += column * column
+    return np.sqrt(squared)
+
+
 def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     """Replace an exact share of each iteration with uniform junk.
 
@@ -319,54 +332,39 @@ def inject_noise(stream, fraction: float, spec: ScenarioSpec, seed: int = 0):
     Each chunk is taken in as a pool and comes out as a
     :class:`~covmem.samples.SamplePool`, like the chunks of
     :func:`generate`, so no row is built here either: the pool itself
-    when no position is replaced, else a pool whose columns are copies
-    with the replaced positions overwritten.  The random draws per
-    replaced position are the output bin, then the raw output
-    (regression only), then the features.  A ``fraction`` outside
-    ``[0, 1]`` raises :class:`~covmem.errors.BadFraction` at the call,
-    before the stream is read.
+    when no position is replaced (so ``fraction`` 0 is the identity),
+    else a pool whose columns are copies with the replaced positions
+    overwritten.  The random draws per replaced position are the output
+    bin, then the raw output (regression only), then the features.  A
+    ``fraction`` outside ``[0, 1]``, or NaN, raises
+    :class:`~covmem.errors.BadFraction` at the call, before the stream
+    is read.
     """
     if not 0.0 <= fraction <= 1.0:
         raise BadFraction(f"noise fraction must lie in [0, 1], got {fraction}")
-    # Imported here, not at module level: scipy.spatial is most of the
-    # cost of importing covmem, and only noise injection needs it.
-    from scipy.spatial.distance import pdist
-
     rng = np.random.default_rng([seed, 3])
-    half = 1.0
-    if spec.n_classes > 1:
-        half = max(0.25 * float(pdist(spec.class_means).mean()), 1.0)
-    lo, hi = -half, half
+    gaps = _pair_distances(spec.class_means)
+    half = max(0.25 * float(gaps.mean()), 1.0) if gaps.size else 1.0
 
     def _noisy(iteration_samples):
         pool = SamplePool.from_samples(iteration_samples)
-        n = len(pool)
-        count = int(round(fraction * n))
+        count = int(round(fraction * len(pool)))
         if count == 0:
             return pool
-        positions = rng.choice(n, size=count, replace=False)
-        features = pool.features.astype(float)
-        output_bin = pool.output_bin.copy()
-        raw_output = pool.raw_output.copy()
-        for pos in positions:
+        positions = rng.choice(len(pool), size=count, replace=False)
+        drawn = []
+        for _ in positions:
             bin_ = int(rng.integers(spec.k_out))
-            output_bin[pos] = bin_
-            if spec.regression:
-                raw_output[pos] = rng.uniform(spec.bin_edges[bin_], spec.bin_edges[bin_ + 1])
-            else:
-                raw_output[pos] = bin_
-            features[pos] = rng.uniform(lo, hi, spec.feature_dim)
-        prediction = pool.prediction.astype(float)
-        prediction[positions] = _uniform(spec.k_pred)
-        loss, stalled, workload, noise = (
-            pool.loss.copy(), pool.stalled.copy(), pool.workload.copy(), pool.noise.copy())
-        loss[positions] = np.nan
-        stalled[positions] = False
-        workload[positions] = -1
-        noise[positions] = True
-        return pool.with_columns(
-            features=features, prediction=prediction, output_bin=output_bin,
-            raw_output=raw_output, loss=loss, stalled=stalled, workload=workload, noise=noise,
-        )
+            raw = rng.uniform(*spec.bin_edges[bin_:bin_ + 2]) if spec.regression else bin_
+            drawn.append((bin_, raw, rng.uniform(-half, half, spec.feature_dim)))
+        bins, raw, features = zip(*drawn)
+        replaced = {"features": features, "prediction": _uniform(spec.k_pred),
+                    "output_bin": bins, "raw_output": raw, "loss": np.nan,
+                    "stalled": False, "workload": -1, "noise": True}
+        columns = {}
+        for name, value in replaced.items():
+            columns[name] = getattr(pool, name).astype(_SCALAR_DTYPES.get(name, float))
+            columns[name][positions] = value
+        return pool.with_columns(**columns)
 
     return map(_noisy, stream)

@@ -8,6 +8,7 @@ import ast
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,21 @@ def test_every_private_helper_has_a_use():
     unused = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "covmem").glob("*.py"))
               for name in private_definitions(parse(path)) if name not in used]
     assert not unused, f"private helpers that nothing names: {unused}"
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    """numpy is covmem's one runtime dependency: every import in the package, at module
+    level or inside a function, is relative, numpy's, or the standard library's."""
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted((ROOT / "src" / "covmem").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {m}" for m in modules
+                        if m.partition(".")[0] not in allowed]
+    assert not foreign, f"imports outside numpy and the standard library: {foreign}"

@@ -543,10 +543,26 @@ class TestRecords:
         ("workload", False), ("stalled", "no"), ("stalled", 2), ("noise", 0.5),
         ("raw_output", "2.5"), ("loss", "0.25"), ("loss", True),
         ("features", ["0.5", "1"]), ("prediction", ["0.5", 0.5]),
+        ("output_bin", 10**23), ("workload", 10**30), ("workload", 2**63), ("workload", -2**63 - 1),
+        ("features", [True, 1.0]), ("prediction", [True, False]),
     ])
     def test_a_mistyped_field_is_refused_not_coerced(self, tmp_path, field, value):
         path = tmp_path / "records.ndjson"
         path.write_text(self.GOOD + "\n" + json.dumps(json.loads(self.GOOD) | {field: value}))
         with pytest.raises(ValueError, match=f"line 2: {field} must be") as info:
             read_samples(path, k_pred=2, k_out=2)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("workload", [2**63 - 1, -2**63])
+    def test_a_workload_at_the_int64_limits_reads(self, tmp_path, workload):
+        path = tmp_path / "records.ndjson"
+        path.write_text(json.dumps(json.loads(self.GOOD) | {"workload": workload}))
+        assert read_samples(path).workload.tolist() == [workload]
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "3", '"x"', "null"])
+    def test_a_line_that_is_not_an_object_is_refused(self, tmp_path, line):
+        path = tmp_path / "records.ndjson"
+        path.write_text(self.GOOD + "\n" + line)
+        with pytest.raises(ValueError, match="line 2: record must be a JSON object") as info:
+            read_samples(path)
         assert type(info.value) is ValueError

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import pdist
 
 from covmem import (
     Sample,
@@ -21,6 +22,7 @@ from covmem import (
     incremental,
     inject_noise,
     rare_patterns,
+    read_samples,
 )
 from covmem.errors import BadFraction, BadSchedule
 from covmem.workloads import (
@@ -30,6 +32,7 @@ from covmem.workloads import (
     RARE_W3_OVERALL,
     RARE_W3_PERIOD,
     SCENARIO_KINDS,
+    _pair_distances,
 )
 
 
@@ -225,6 +228,8 @@ class TestInjectNoise:
         for x, y in zip(clean, noisy):
             np.testing.assert_array_equal(x.features, y.features)
             assert not y.noise
+        chunks = list(generate(spec, seed=0))
+        assert all(a is b for a, b in zip(inject_noise(chunks, 0.0, spec, seed=0), chunks))
 
     def test_replacements_keep_arrival_indices(self):
         spec = rare_patterns(iterations=2, samples_per_iteration=500)
@@ -286,6 +291,48 @@ class TestInjectNoise:
         with pytest.raises(BadFraction):
             inject_noise(generate(spec, seed=0), fraction, spec, seed=0)
 
+    @pytest.mark.parametrize("exponent", [-300, -100, -3, 0, 3, 100, 150])
+    def test_pair_distances_match_pdist_bit_for_bit(self, exponent):
+        rng = np.random.default_rng(exponent + 300)
+        for k in (2, 3, 7, 11):
+            for d in (1, 2, 16, 300):
+                for _ in range(5):
+                    means = rng.standard_normal((k, d)) * 10.0**exponent
+                    assert _pair_distances(means).tobytes() == pdist(means).tobytes()
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_pair_distances_of_builder_means_match_pdist(self, kind):
+        for dim in (1, 2, 3, 16, 128):
+            means = build_scenario(kind, iterations=3, samples_per_iteration=1,
+                                   feature_dim=dim).class_means
+            assert _pair_distances(means).tobytes() == pdist(means).tobytes()
+
+    @pytest.mark.parametrize("scale, regression", [(0.1, False), (3.0, True), (40.0, False)])
+    def test_noise_is_the_documented_draws_over_the_pdist_box(self, scale, regression):
+        """Each replaced position draws its bin, its raw output (regression only), then
+        features uniform over a box of half-width ``max(0.25 * pdist(means).mean(), 1)``."""
+        means = np.random.default_rng(5).standard_normal((4, 6)) * scale
+        shape = dict(regression=True, output_scales=np.ones(2), log_medians=np.log([2, 4, 8, 16]),
+                     bin_edges=np.linspace(0.0, 32.0, 9)) if regression else {}
+        spec = ScenarioSpec(kind="custom", iterations=2, samples_per_iteration=300,
+                            class_means=means, schedule=np.full((2, 4), 0.25), **shape)
+        half = max(0.25 * pdist(means).mean(), 1.0)
+        draws = np.random.default_rng([9, 3])
+        noisy = inject_noise(generate(spec, seed=9), 0.1, spec, seed=9)
+        for chunk in noisy:
+            positions = draws.choice(300, size=30, replace=False)
+            np.testing.assert_array_equal(np.flatnonzero(chunk.noise), np.sort(positions))
+            for pos in positions:
+                bin_ = int(draws.integers(spec.k_out))
+                assert chunk.output_bin[pos] == bin_
+                if regression:
+                    edges = spec.bin_edges[bin_], spec.bin_edges[bin_ + 1]
+                    assert chunk.raw_output[pos] == draws.uniform(*edges)
+                else:
+                    assert chunk.raw_output[pos] == bin_
+                want = draws.uniform(-half, half, spec.feature_dim)
+                assert chunk.features[pos].tobytes() == want.tobytes()
+
     def test_deterministic(self):
         spec = rare_patterns(iterations=2, samples_per_iteration=300)
 
@@ -300,17 +347,30 @@ class TestInjectNoise:
             np.testing.assert_array_equal(x, y)
 
 
-def test_importing_covmem_loads_no_scipy_spatial():
-    """scipy.spatial is imported only once noise is injected."""
+def test_importing_covmem_loads_no_scipy_spatial(tmp_path):
+    """covmem needs no scipy: with every scipy import blocked, it imports, streams
+    noise through ``scenario_stream`` and writes a noisy ``covmem gen`` file."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = ("import sys, covmem; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    out = tmp_path / "pool.ndjson"
+    probe = f"""
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import covmem
+from covmem import cli
+from covmem.harness import scenario_stream
+stream, _ = scenario_stream("gradual_drift", 7, noise_fraction=0.05, iterations=3,
+                            samples_per_iteration=200)
+print(sum(int(chunk.noise.sum()) for chunk in stream))
+cli.main(["gen", "--scenario", "rare_patterns", "--out", {str(out)!r}, "--iterations", "2",
+          "--samples-per-iteration", "200", "--seed", "3", "--noise", "0.1"])
+"""
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["30", f"wrote 400 samples (2 iterations) to {out}"]
+    assert read_samples(out).noise.sum() == 40
 
 
 class TestSpecValidation:
