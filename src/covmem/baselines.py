@@ -118,8 +118,9 @@ class FifoStrategy(SelectionStrategy):
 # scalar-priority strategies ----------------------------------------------
 #
 # Each variant reduces a sample to one number and discards by softmax
-# over the signed score (sign chosen so "likely to discard" is high).
-# Scores marked dynamic are refreshed after every discard.
+# over the signed score (sign chosen so "likely to discard" is high),
+# drawn as memento draws: one ``rng.random()`` per discard, and at T = 0
+# the first maximum.  Label counts drop with every discard of their label.
 
 _PRIORITY_KINDS = ("loss", "confidence", "label_count", "stalled")
 
@@ -148,7 +149,7 @@ class PriorityStrategy(SelectionStrategy):
             return pool.prediction.max(axis=1)
         if self.score == "stalled":
             return np.where(pool.stalled, 0.0, 1.0)
-        raise AssertionError(self.score)
+        return np.bincount(pool.output_bin)[pool.output_bin].astype(float)
 
     def select(self, memory, new_samples, cfg, predictor, rng):
         pool = selection.ingest(memory, new_samples, cfg, predictor, scored=self.score == "loss")
@@ -156,33 +157,15 @@ class PriorityStrategy(SelectionStrategy):
         if excess <= 0:
             return _finish(memory, pool)
 
-        alive = np.ones(len(pool), dtype=bool)
-        if self.score == "label_count":
-            labels = pool.output_bin
-            counts = np.bincount(labels, minlength=cfg.k_out)
-            for _ in range(excess):
-                signed = counts[labels[alive]].astype(float)
-                victim = np.flatnonzero(alive)[_discard_index(signed, cfg.temperature, rng)]
-                counts[labels[victim]] -= 1
-                alive[victim] = False
-        else:
-            signed = self._signed_scores(pool)
-            for _ in range(excess):
-                j = _discard_index(signed[alive], cfg.temperature, rng)
-                alive[np.flatnonzero(alive)[j]] = False
-        return _finish(memory, pool.take(np.flatnonzero(alive)))
-
-
-def _discard_index(signed: np.ndarray, temperature: float, rng) -> int:
-    """Softmax draw over signed scores; T=0 is argmax with low-index ties and no draw.
-
-    The softmax is a distribution by construction, so it is drawn from
-    unchecked, as :meth:`~covmem.density.DensityState.draw` does.
-    """
-    if temperature == 0.0:
-        return int(signed.argmax())
-    probabilities = selection.discard_probabilities(signed, temperature)
-    return _inverse_cdf(probabilities, rng, np.empty(probabilities.size))
+        signed, labels = self._signed_scores(pool), pool.output_bin
+        live = np.arange(len(pool))  # positions into ``pool``
+        for _ in range(excess):
+            probabilities = selection.discard_probabilities(signed[live], cfg.temperature)
+            j = _inverse_cdf(probabilities, rng, np.empty(live.size))
+            if self.score == "label_count":
+                signed[labels == labels[live[j]]] -= 1.0
+            live = np.delete(live, j)
+        return _finish(memory, pool.take(live))
 
 
 class LarsStrategy(SelectionStrategy):

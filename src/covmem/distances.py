@@ -13,17 +13,18 @@ into the lower triangle, so every pair is evaluated once; the identity
 is symmetric in its arguments bit for bit, so the mirror changes no
 value.
 
-Every matrix kernel, JSD and euclidean, square and rectangular, runs
-one row-block loop.  A block holds as many rows as fit ``_SCRATCH``
-(65,536) float64 elements at ``cols * k`` elements per row, at least
-one row, where ``cols`` is the block's column count: all columns in a
-rectangle, and in a square the columns from the block's first row on,
-so square blocks take more rows as they go down.  Each block is
-computed with ``out=`` ufuncs into scratch arrays allocated once per
-call and reused by every block.  Each scratch array
-is 512 KB, so a block's mixture, logarithms and products stay in a
-2 MB L2 cache instead of streaming ``block * n * k`` temporaries through
-memory.  Each pair sees the same elementwise operations and the same
+Each comparison space has one metric, ``_jsd``, ``_euclidean`` or
+``_bin_mismatch``: rows against rows, or square when the second are
+``None``.  The JSD and euclidean ones run one row-block loop, ``_blocked``.
+A block holds as many rows as fit ``_SCRATCH`` (65,536) float64 elements
+at ``cols * k`` elements per row, at least one row, where ``cols`` is the
+block's column count: all columns in a rectangle, and in a square the
+columns from the block's first row on, so square blocks take more rows
+as they go down.  Each block is computed with ``out=`` ufuncs into
+scratch arrays allocated once per call and reused by every block.  Each
+scratch array is 512 KB, so a block's mixture, logarithms and products
+stay in a 2 MB L2 cache instead of streaming ``block * n * k``
+temporaries through memory.  Each pair sees the same elementwise operations and the same
 length-``k`` reduction whatever the block size, so the results do not
 depend on it bit for bit.
 
@@ -192,14 +193,9 @@ def _plane_sum(planes: np.ndarray) -> np.ndarray:
     return planes[0]
 
 
-def _bin_mismatch(bins_a: np.ndarray, bins_b: np.ndarray) -> np.ndarray:
-    """JSD between point masses on ``bins_a`` and ``bins_b``: 0 in the same bin, else 1."""
-    return (bins_a[:, None] != bins_b[None, :]).astype(float)
-
-
-def _blocked(kernel, n_rows: int, n_cols: int, k: int, n_scratch: int,
-             upper: bool) -> np.ndarray:
-    """Fill an ``(n_rows, n_cols)`` matrix one row block at a time.
+def _blocked(kernel, rows_a: np.ndarray, rows_b: np.ndarray | None,
+             n_scratch: int) -> np.ndarray:
+    """The matrix of ``(n, k)`` rows ``rows_a`` against ``rows_b``, one row block at a time.
 
     ``kernel(rows, cols, *scratch)`` returns the block of rows ``rows``
     (a slice) against columns ``cols``, using ``n_scratch`` flat float
@@ -207,10 +203,13 @@ def _blocked(kernel, n_rows: int, n_cols: int, k: int, n_scratch: int,
     space, which it shapes as it needs.  The scratch is allocated once
     and reused by every block.  A block has as many rows as fit the
     ``_SCRATCH`` budget at its column count, and at least one.  With
-    ``upper`` the matrix is square and symmetric: each block is computed
-    from its own first row onward and mirrored into the lower triangle,
-    and the diagonal is set to zero.
+    ``rows_b=None`` the matrix is square over ``rows_a`` and symmetric:
+    each block is computed from its own first row onward and mirrored
+    into the lower triangle, and the diagonal is set to zero.
     """
+    upper = rows_b is None
+    n_rows, k = rows_a.shape
+    n_cols = n_rows if upper else rows_b.shape[0]
     size = min(n_rows * n_cols * k, max(_SCRATCH, n_cols * k))
     flat = [np.empty(size) for _ in range(n_scratch)]
     out = np.empty((n_rows, n_cols))
@@ -297,6 +296,26 @@ def _euclidean_kernel(rows_a, rows_b):
     return kernel
 
 
+def _jsd(rows_a: np.ndarray, rows_b: np.ndarray | None = None) -> np.ndarray:
+    """Square-root JSD between distribution rows, unchecked."""
+    ent_a = _entropy_rows(rows_a)
+    ent_b = ent_a if rows_b is None else _entropy_rows(rows_b)
+    kernel = _jsd_kernel(rows_a, rows_a if rows_b is None else rows_b, ent_a, ent_b)
+    return _blocked(kernel, rows_a, rows_b, 2)
+
+
+def _euclidean(rows_a: np.ndarray, rows_b: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distance between feature rows."""
+    return _blocked(_euclidean_kernel(rows_a, rows_a if rows_b is None else rows_b),
+                    rows_a, rows_b, 1)
+
+
+def _bin_mismatch(bins_a: np.ndarray, bins_b: np.ndarray | None = None) -> np.ndarray:
+    """JSD between point masses on ``bins_a`` and ``bins_b``: 0 in the same bin, else 1."""
+    bins_b = bins_a if bins_b is None else bins_b
+    return (bins_a[:, None] != bins_b[None, :]).astype(float)
+
+
 def jsd_pairwise(rows: np.ndarray) -> np.ndarray:
     """All-pairs Jensen-Shannon distances for stacked distributions.
 
@@ -313,9 +332,7 @@ def jsd_pairwise(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise EmptyInput(f"expected a nonempty (n, k) array, got shape {rows.shape}")
-    n, k = rows.shape
-    ent = _entropy_rows(rows)
-    return _blocked(_jsd_kernel(rows, rows, ent, ent), n, n, k, 2, upper=True)
+    return _jsd(rows)
 
 
 def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
@@ -328,42 +345,26 @@ def jsd_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
     if rows_a.ndim != 2 or rows_b.ndim != 2 or rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
         raise EmptyInput("expected two nonempty (n, k) arrays")
     if rows_a.shape[1] != rows_b.shape[1]:
-        raise LengthMismatch(
-            f"bin counts differ: {rows_a.shape[1]} vs {rows_b.shape[1]}"
-        )
-    kernel = _jsd_kernel(rows_a, rows_b, _entropy_rows(rows_a), _entropy_rows(rows_b))
-    return _blocked(kernel, rows_a.shape[0], rows_b.shape[0], rows_a.shape[1], 2, upper=False)
+        raise LengthMismatch(f"bin counts differ: {rows_a.shape[1]} vs {rows_b.shape[1]}")
+    return _jsd(rows_a, rows_b)
 
 
-def _euclidean_pairwise(rows: np.ndarray) -> np.ndarray:
-    n, d = rows.shape
-    return _blocked(_euclidean_kernel(rows, rows), n, n, d, 1, upper=True)
-
-
-def _euclidean_cross(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    return _blocked(_euclidean_kernel(rows_a, rows_b), rows_a.shape[0], rows_b.shape[0],
-                    rows_a.shape[1], 1, upper=False)
-
-
-# Each comparison space: the BatchTable column it reads, and its square
-# and rectangular distances.  The space fixes the metric: JSD between
-# prediction distributions, euclidean between mean feature vectors, and
-# bin mismatch between output bins, whose distributions are point masses.
+# Each comparison space: the BatchTable column it reads, and its metric.
 _SPACES = {
-    "pred": ("pred_dist", jsd_pairwise, jsd_cross),
-    "features": ("mean_features", _euclidean_pairwise, _euclidean_cross),
-    "out": ("out_bin", lambda bins: _bin_mismatch(bins, bins), _bin_mismatch),
+    "pred": ("pred_dist", _jsd),
+    "features": ("mean_features", _euclidean),
+    "out": ("out_bin", _bin_mismatch),
 }
 
 
 def _space(batches, space: str):
-    """The ``space`` entry of ``_SPACES`` and the column ``batches`` hold for it."""
+    """The column ``batches`` hold for ``space``, and the space's metric."""
     if not batches:
         raise EmptyInput("no batches to compare")
     if space not in _SPACES:
         raise ValueError(f"unknown space {space!r}, expected 'pred', 'out', or 'features'")
-    column, pairwise, cross = _SPACES[space]
-    return getattr(batches, column), pairwise, cross
+    column, metric = _SPACES[space]
+    return getattr(batches, column), metric
 
 
 def distinct_rows(batches, space: str = "pred") -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +383,7 @@ def distinct_rows(batches, space: str = "pred") -> tuple[np.ndarray, np.ndarray]
     types : ndarray
         For every batch, the index into ``first`` of its row.
     """
-    rows, _, _ = _space(batches, space)
+    rows, _ = _space(batches, space)
     if rows.ndim == 2:
         rows = np.ascontiguousarray(rows)
         rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
@@ -412,12 +413,17 @@ def distance_matrix(batches, space: str = "pred") -> np.ndarray:
     ndarray
         Symmetric ``(n, n)`` matrix, zero diagonal.
     """
-    rows, pairwise, _ = _space(batches, space)
-    return pairwise(rows)
+    rows, metric = _space(batches, space)
+    return metric(rows)
 
 
 def cross_distance_matrix(batches_a, batches_b, space: str = "pred") -> np.ndarray:
-    """Rectangular distances between the batches of two tables, as in :func:`distance_matrix`."""
-    rows_a, _, cross = _space(batches_a, space)
-    rows_b, _, _ = _space(batches_b, space)
-    return cross(rows_a, rows_b)
+    """Rectangular distances between the batches of two tables, as in :func:`distance_matrix`.
+
+    Rows of unequal widths raise :class:`~covmem.errors.LengthMismatch`."""
+    rows_a, metric = _space(batches_a, space)
+    rows_b, _ = _space(batches_b, space)
+    if rows_a.shape[1:] != rows_b.shape[1:]:
+        raise LengthMismatch(f"{space} rows differ in width: "
+                             f"{rows_a.shape[1]} vs {rows_b.shape[1]}")
+    return metric(rows_a, rows_b)

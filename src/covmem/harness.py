@@ -25,10 +25,10 @@ from .predictors import (
     CentroidPredictor,
     HistogramPredictor,
     LikelihoodPredictor,
-    LOGSCORE_FLOOR,
     OraclePredictor,
     Predictor,
     UniformPredictor,
+    _log_scores,
 )
 from .samples import ReplayMemory, SamplePool, StrategyConfig, read_samples, write_samples
 from .workloads import SCENARIO_KINDS, ScenarioSpec, build_scenario, eval_set, generate, inject_noise
@@ -261,8 +261,7 @@ def _evaluate(predictor: Predictor, pool: SamplePool, spec: ScenarioSpec | None,
     and no bin midpoints, so accuracy and p99 are NaN.
     """
     predictions = predictor.predict_many(pool.features)
-    picked = predictions[np.arange(len(pool)), pool.output_bin]
-    logscores = np.log2(np.maximum(picked, LOGSCORE_FLOOR))
+    logscores = _log_scores(predictions, pool.output_bin)
     acc = p99 = float("nan")
     if spec is not None and spec.regression:
         point = predictions @ spec.bin_midpoints()

@@ -249,5 +249,10 @@ def with_losses(pool: SamplePool, predictor: Predictor) -> SamplePool:
     if not len(pool):
         return pool
     predictions = predictor.predict_many(pool.features)
-    picked = predictions[np.arange(len(pool)), pool.output_bin]
-    return pool.with_columns(loss=-np.log2(np.maximum(picked, LOGSCORE_FLOOR)))
+    return pool.with_columns(loss=-_log_scores(predictions, pool.output_bin))
+
+
+def _log_scores(predictions: np.ndarray, output_bins: np.ndarray) -> np.ndarray:
+    """:func:`logscore` of every prediction row at its output bin."""
+    picked = predictions[np.arange(len(output_bins)), output_bins]
+    return np.log2(np.maximum(picked, LOGSCORE_FLOOR))

@@ -514,13 +514,14 @@ def write_samples(path, samples) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-# What JSON must read each typed record field as, with no coercion: bools are not
-# integers, numbers or vector entries, integers fit int64, and vectors hold no strings.
+# What JSON must read each typed record field as, with no coercion: bools are not integers,
+# numbers or vector entries, integers fit int64, and vectors hold no strings or objects.
 _INT = ("a JSON integer in int64 range", lambda v: type(v) is int and -2**63 <= v < 2**63)
 _NUMBER = ("a JSON number", lambda v: type(v) in (int, float))
 _FLAG = ("0, 1, true or false", lambda v: type(v) in (int, bool) and v in (0, 1))
-_VECTOR = ("free of strings and bools", lambda v: not isinstance(v, (str, bool))
-           and not (isinstance(v, list) and any(isinstance(x, (str, bool)) for x in v)))
+_NOT_ENTRIES = (str, bool, dict)
+_VECTOR = ("free of strings, bools and objects", lambda v: not isinstance(v, _NOT_ENTRIES)
+           and not (isinstance(v, list) and any(isinstance(x, _NOT_ENTRIES) for x in v)))
 
 
 def _typed(record: dict, name: str, kind: tuple, *default):
@@ -541,7 +542,7 @@ def read_samples(path, k_pred: int | None = None, k_out: int | None = None) -> S
     ``output_bin`` and ``workload`` are JSON integers in int64 range,
     ``stalled`` and ``noise`` 0, 1, true or false, ``raw_output`` and
     ``loss`` JSON numbers, and ``features`` and ``prediction`` hold no
-    strings or bools.  The columns must hold finite
+    strings, bools or objects.  The columns must hold finite
     features of one length and finite distributions of one length, with
     ``k_pred`` bins and ``output_bin`` in ``[0, k_out)`` when given.
     Each error is the first bad record's, and names its line.

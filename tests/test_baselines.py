@@ -26,6 +26,7 @@ from covmem.baselines import STRATEGY_KINDS
 from covmem.errors import (
     BinOutOfRange,
     EmptyCommittee,
+    EmptyInput,
     LengthMismatch,
     MissingScores,
     NegativeProbability,
@@ -171,6 +172,30 @@ class TestPriority:
         kept0 = [i for i in outcome.kept_ids.tolist() if i < 40]
         assert kept0 == list(range(20, 40))
 
+    # each kind's pool, capacity and the greedy set T = 0 keeps
+    GREEDY = {
+        "loss": ([sample(i, loss=l) for i, l in enumerate([5.0, 1.0, 3.0, 2.0, 4.0])], 3,
+                 [0, 2, 4]),
+        "confidence": ([sample(i, confidence=c) for i, c in enumerate([0.99, 0.40, 0.80])], 1,
+                       [1]),
+        "stalled": ([sample(i, stalled=i % 2 == 1) for i in range(4)], 2, [1, 3]),
+        # label 0 is recounted after each discard: 6, 5, 4 all exceed label 1's 2
+        "label_count": ([sample(i, output_bin=int(i >= 6)) for i in range(8)], 5,
+                        [3, 4, 5, 6, 7]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GREEDY))
+    def test_zero_temperature_keeps_the_greedy_set_with_one_draw_per_discard(self, kind):
+        pool, capacity, kept = self.GREEDY[kind]
+        rng = np.random.default_rng(11)
+        outcome = PriorityStrategy(kind).select(ReplayMemory(capacity=capacity), pool,
+                                                self.cfg(capacity), None, rng)
+        assert outcome.kept_ids.tolist() == kept
+        advanced = np.random.default_rng(11)
+        for _ in range(len(pool) - capacity):
+            advanced.random()
+        assert rng.bit_generator.state == advanced.bit_generator.state
+
     def test_unknown_score(self):
         with pytest.raises(ValueError):
             PriorityStrategy("karma")
@@ -235,6 +260,18 @@ class TestQbc:
     def test_unknown_vote(self):
         with pytest.raises(ValueError):
             QbcStrategy(UniformPredictor(3), vote="loud")
+
+    def test_an_empty_memory_and_chunk_is_empty_input(self):
+        cfg = StrategyConfig(capacity=4, batch_size=4, k_pred=3, k_out=3)
+        with pytest.raises(EmptyInput, match="nothing to select from"):
+            run(QbcStrategy(CentroidPredictor(3)), SamplePool.empty(), cfg)
+
+    def test_a_committee_emptied_after_construction_is_refused(self):
+        strategy = QbcStrategy(CentroidPredictor(3))
+        strategy.committee = []
+        cfg = StrategyConfig(capacity=2, batch_size=2, k_pred=3, k_out=3)
+        with pytest.raises(EmptyCommittee, match="committee is empty"):
+            run(strategy, [sample(i) for i in range(5)], cfg)
 
     def test_unfit_committee_breaks_ties_by_arrival(self):
         cfg = StrategyConfig(capacity=4, batch_size=4, k_pred=3, k_out=3)

@@ -122,6 +122,10 @@ class TestDensityState:
         with pytest.raises(ValueError):
             DensityState(kernel_table(np.zeros((2, 2)), 0.1), kernel_table(np.zeros((3, 3)), 0.1))
 
+    def test_empty_tables_are_empty_input(self):
+        with pytest.raises(EmptyInput, match="nonempty square kernel table"):
+            DensityState(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_fortran_ordered_matrix_gives_the_same_bits(self):
         """Row means of a Fortran-ordered table sum in the C-ordered table's order."""
         rng = np.random.default_rng(8)

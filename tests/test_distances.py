@@ -4,6 +4,7 @@ Reference values were computed independently (scipy's base-2
 ``jensenshannon`` plus hand-evaluated KL sums) and frozen here, so the
 implementation is compared against numbers it did not produce.
 """
+import dataclasses
 import tracemalloc
 from unittest.mock import patch
 
@@ -24,8 +25,7 @@ from covmem import (
 from covmem import distances
 from covmem.distances import (
     _SCRATCH,
-    _euclidean_cross,
-    _euclidean_pairwise,
+    _euclidean,
     _halves_exactly,
     _plane_sum,
     distinct_rows,
@@ -138,6 +138,13 @@ class TestJSDMatrixPaths:
     def test_cross_bin_mismatch(self):
         with pytest.raises(LengthMismatch):
             jsd_cross(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
+
+    def test_no_rows_is_empty_input(self):
+        rows, empty = np.ones((2, 3)) / 3, np.empty((0, 3))
+        for call in (lambda: jsd_pairwise(empty), lambda: jsd_cross(empty, rows),
+                     lambda: jsd_cross(rows, empty)):
+            with pytest.raises(EmptyInput):
+                call()
 
 
 def _reference_entropy_rows(rows):
@@ -329,8 +336,8 @@ class TestCacheSizedBlocks:
         assert _SCRATCH // (n * 21) < n  # several blocks
         features = rng.normal(size=(n, 21))
         calls = (lambda: jsd_pairwise(rows), lambda: jsd_cross(rows, other),
-                 lambda: jsd_cross(other, rows), lambda: _euclidean_pairwise(features),
-                 lambda: _euclidean_cross(features, features[:m]))
+                 lambda: jsd_cross(other, rows), lambda: _euclidean(features),
+                 lambda: _euclidean(features, features[:m]))
         with rows_per_block(n, n, 21):  # every call in one block
             one_block = [call() for call in calls]
         for call, want in zip(calls, one_block):
@@ -338,8 +345,8 @@ class TestCacheSizedBlocks:
 
     def test_zero_width_features_are_at_distance_zero(self):
         features = np.zeros((5, 0))
-        assert np.array_equal(_euclidean_pairwise(features), np.zeros((5, 5)))
-        assert np.array_equal(_euclidean_cross(features, features[:2]), np.zeros((5, 2)))
+        assert np.array_equal(_euclidean(features), np.zeros((5, 5)))
+        assert np.array_equal(_euclidean(features, features[:2]), np.zeros((5, 2)))
 
     def test_scratch_stays_within_budget(self):
         """Peak allocation is the output plus a few scratch budgets, at any n."""
@@ -436,10 +443,10 @@ class TestBatchSpaces:
 
     def test_features_space_is_the_euclidean_kernel_bit_for_bit(self):
         batches = self.make_batches(n=40)
-        want = _euclidean_pairwise(batches.mean_features)
+        want = _euclidean(batches.mean_features)
         assert distance_matrix(batches, "features").tobytes() == want.tobytes()
         other = self.make_batches(seed=10, n=7)
-        want = _euclidean_cross(batches.mean_features, other.mean_features)
+        want = _euclidean(batches.mean_features, other.mean_features)
         assert cross_distance_matrix(batches, other, "features").tobytes() == want.tobytes()
 
     def test_unknown_space(self):
@@ -450,6 +457,16 @@ class TestBatchSpaces:
     def test_empty_batches(self):
         with pytest.raises(EmptyInput):
             distance_matrix([])
+
+    @pytest.mark.parametrize("space, column", [("pred", "pred_dist"),
+                                               ("features", "mean_features")])
+    def test_cross_tables_of_different_widths_are_refused(self, space, column):
+        batches = self.make_batches()
+        # width 1 broadcasts against any other width, so it must be caught by name
+        narrow = dataclasses.replace(batches, **{column: getattr(batches, column)[:, :1]})
+        for a, b in ((batches, narrow), (narrow, batches)):
+            with pytest.raises(LengthMismatch, match=f"{space} rows differ in width"):
+                cross_distance_matrix(a, b, space)
 
 
     def test_distinct_rows_merge_only_equal_rows_in_first_occurrence_order(self):

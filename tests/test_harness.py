@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from covmem import (
+    CentroidPredictor,
     LarsStrategy,
     RunConfig,
     balanced_accuracy,
@@ -15,6 +16,8 @@ from covmem import (
     run,
     sweep,
 )
+from covmem import harness
+from covmem.baselines import make_strategy
 from covmem.harness import coerce_value
 from covmem.errors import (
     BadFraction,
@@ -93,6 +96,11 @@ class TestRunConfig:
         kwargs[field] = value
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    def test_an_every_schedule_needs_a_positive_period(self):
+        with pytest.raises(ConfigError, match="retrain_every"):
+            RunConfig(strategy="memento", capacity=10, batch_size=5, scenario="rare_patterns",
+                      retrain="every", retrain_every=0)
 
     @pytest.mark.parametrize("field", [
         "iterations", "samples_per_iteration", "feature_dim", "eval_per_class",
@@ -329,6 +337,28 @@ class TestRun:
     def test_classification_reports_no_p99(self):
         reports = run(small_config())
         assert all(np.isnan(r.p99_error) for r in reports)
+
+    @pytest.mark.parametrize("strategy", ["memento", "qbc"])
+    def test_the_oracle_predictor_runs_a_scenario(self, tmp_path, monkeypatch, strategy):
+        built = []
+
+        def keep_strategy(*args, **kwargs):
+            built.append(make_strategy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(harness, "make_strategy", keep_strategy)
+        out = tmp_path / "out"
+        reports = run(small_config(strategy=strategy, predictor="oracle", iterations=3,
+                                   out_dir=str(out)))
+        assert len(reports) == 3
+        assert reports[-1].balanced_accuracy > 0.9
+        assert len((out / "report.csv").read_text().splitlines()) == 4
+        assert len((out / "timings.csv").read_text().splitlines()) == 4
+        if strategy == "qbc":
+            # the oracle cannot be refit, so the committee is built from centroids
+            (qbc,) = built
+            assert type(qbc._base) is CentroidPredictor
+            assert all(type(member) is CentroidPredictor for member in qbc.committee)
 
     def test_retrain_every_schedule(self):
         reports = run(small_config(retrain="every", retrain_every=2))

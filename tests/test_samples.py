@@ -81,6 +81,10 @@ class TestValidation:
         with pytest.raises(LengthMismatch, match="line 1"):
             read_back(tmp_path, make_sample(), k_pred=4)
 
+    def test_a_required_bin_count_is_enforced(self):
+        with pytest.raises(LengthMismatch, match="expected 3 bins, got 2"):
+            validate_distribution([0.5, 0.5], 3)
+
     def test_tolerance_is_tight_but_not_exact(self):
         # off by less than 1e-9 is fine, more is not
         validate_distribution(np.array([0.5, 0.5 + 4e-10]))
@@ -545,6 +549,8 @@ class TestRecords:
         ("features", ["0.5", "1"]), ("prediction", ["0.5", 0.5]),
         ("output_bin", 10**23), ("workload", 10**30), ("workload", 2**63), ("workload", -2**63 - 1),
         ("features", [True, 1.0]), ("prediction", [True, False]),
+        ("features", {"a": 1}), ("features", [{"a": 1}, 1.0]),
+        ("prediction", {"a": 1}), ("prediction", [{"a": 1}, 0.5]),
     ])
     def test_a_mistyped_field_is_refused_not_coerced(self, tmp_path, field, value):
         path = tmp_path / "records.ndjson"

@@ -100,6 +100,10 @@ class TestIncremental:
 
 
 class TestGradualDrift:
+    def test_iterations_must_divide_into_three_phases(self):
+        with pytest.raises(BadSchedule, match="divisible by 3"):
+            gradual_drift(iterations=4)
+
     def test_phase_scales_shift_the_outputs(self):
         spec = gradual_drift(iterations=6, samples_per_iteration=4000)
         raw_by_phase = [[], []]
